@@ -14,9 +14,9 @@ import sys
 from typing import Sequence
 
 from . import families as families_mod
-from .errors import MissingVariable, RatGenError
+from .errors import InvalidVariable, MissingVariable, RatGenError
 from .parser import format_poly, parse_poly, split_in_t
-from .poly import Polynomial
+from .poly import Polynomial, validate_variable_name
 from .recurrence import (
     RationalGF,
     convolve_numerator,
@@ -80,9 +80,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "--force", action="store_true",
         help="allow the multinomial oracle beyond N=12",
     )
-    p_verify.add_argument(
-        "--corrupt", type=int, default=None, help=argparse.SUPPRESS
-    )  # test harness hook: perturb the engine expansion at one index
 
     p_family = sub.add_parser("family", help="work with the named catalog")
     fam_sub = p_family.add_subparsers(dest="family_command", required=True)
@@ -143,6 +140,12 @@ def _parse_at(text: str | None) -> dict[str, int] | None:
         var = var.strip()
         if not sep or not var:
             raise RatGenError(f"bad --at entry {piece!r}; expected VAR=INT")
+        try:
+            validate_variable_name(var)
+        except InvalidVariable as exc:
+            raise RatGenError(f"bad --at entry {piece!r}: {exc}") from None
+        if var in assignment:
+            raise RatGenError(f"--at assigns {var!r} more than once")
         try:
             assignment[var] = int(value.strip())
         except ValueError:
@@ -261,10 +264,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     selected = args.oracle
     D = gf.reduced_denominator()
     engine = expand_family(gf, N)
-    if args.corrupt is not None and 0 <= args.corrupt <= N:
-        bumped = list(engine.coeffs)
-        bumped[args.corrupt] = bumped[args.corrupt] + Polynomial.one()
-        engine = SeriesPrefix(bumped)
 
     ok = True
     if selected in ("geometric", "all"):
@@ -310,8 +309,8 @@ def _family_query_params(params: dict[str, object]) -> dict[str, str]:
 
 def _cmd_family_expand(args: argparse.Namespace) -> int:
     params = _parse_family_params(args.param)
-    gf = families_mod.instantiate(args.name, params, args.mode)
-    _, resolved = families_mod.build_parts(args.name, params)
+    parts, resolved = families_mod.build_parts(args.name, params)
+    gf = parts.gf(args.mode)
     at = _parse_at(args.at)
     expansion = expand_family(gf, args.N)
     query = {

@@ -54,6 +54,12 @@ class FamilyParts:
     expected_feedback: tuple[Polynomial, ...]
     notes: tuple[str, ...] = ()
 
+    def gf(self, mode: str) -> RationalGF:
+        """The generating function in the printed or canonical reading."""
+        printed = mode == "printed"
+        num = self.numerator_printed if printed else self.numerator_canonical
+        return RationalGF(num, self.denominator, 1)
+
 
 @dataclass(frozen=True)
 class FamilySpec:
@@ -397,12 +403,7 @@ def instantiate(
     if mode not in MODES:
         raise BadParameter(f"mode must be one of {MODES}, got {mode!r}")
     parts, _ = build_parts(name, parameters)
-    num = (
-        parts.numerator_printed
-        if mode == "printed"
-        else parts.numerator_canonical
-    )
-    return RationalGF(num, parts.denominator, 1)
+    return parts.gf(mode)
 
 
 @dataclass(frozen=True)
@@ -459,22 +460,13 @@ def audit(
     stated = parts.stated_initial_values or ()
     audits: dict[str, ModeAudit] = {}
     for mode in MODES:
-        gf = RationalGF(
-            parts.numerator_printed
-            if mode == "printed"
-            else parts.numerator_canonical,
-            parts.denominator,
-            1,
-        )
-        expansion = expand_family(gf, N)
+        expansion = expand_family(parts.gf(mode), N)
         checks = tuple(
             ValueCheck(k, expansion[k], stated[k], expansion[k] == stated[k])
             for k in range(min(len(stated), N + 1))
         )
         audits[mode] = ModeAudit(mode, expansion, checks)
-    derived = derive_recurrence(
-        RationalGF(parts.numerator_canonical, parts.denominator, 1)
-    )
+    derived = derive_recurrence(parts.gf("canonical"))
     return AuditReport(
         family=name,
         parameters=resolved,

@@ -283,11 +283,11 @@ _ONE = Polynomial._raw({(): 1})
 
 
 def add_product_into(
-    acc: dict[Monomial, int], p: Polynomial, q: Polynomial, sign: int = 1
+    acc: dict[Monomial, int], p: Polynomial, q: Polynomial
 ) -> None:
-    """Accumulate ``sign * p * q`` into a raw term map.
+    """Accumulate ``p * q`` into a raw term map.
 
-    Shared by series convolution and the recurrence loops so long sums of
+    Shared by series convolution and the recurrence loop so long sums of
     products build one dictionary instead of a chain of intermediates.
     """
     pt, qt = p._terms, q._terms
@@ -296,10 +296,9 @@ def add_product_into(
     if len(pt) > len(qt):  # iterate the smaller operand on the outside
         pt, qt = qt, pt
     for m1, c1 in pt.items():
-        c1s = c1 * sign
         for m2, c2 in qt.items():
             mono = _mul_monomials(m1, m2)
-            new = acc.get(mono, 0) + c1s * c2
+            new = acc.get(mono, 0) + c1 * c2
             if new:
                 acc[mono] = new
             else:

@@ -17,9 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import BadConstantTerm, NegativeOrder, PowerNotOne
+from .errors import NegativeOrder, PowerNotOne
 from .poly import RESERVED_VARIABLE, Monomial, Polynomial, add_product_into
-from .series import SeriesPrefix
+from .series import SeriesPrefix, _check_denominator, convolve
 
 _ZERO = Polynomial.zero()
 
@@ -56,8 +56,7 @@ class RationalGF:
     def __post_init__(self) -> None:
         num = _as_trimmed(self.numerator, "numerator")
         den = _as_trimmed(self.denominator, "denominator")
-        if not den[0].is_one():
-            raise BadConstantTerm("denominator constant term must be 1")
+        _check_denominator(den)
         if not isinstance(self.power, int) or self.power < 1:
             raise ValueError(f"power must be a positive integer, got {self.power}")
         object.__setattr__(self, "numerator", num)
@@ -110,40 +109,35 @@ class Recurrence:
         return max(self.forcing_cutoff + 1, self.order)
 
     def expand(self, N: int) -> SeriesPrefix:
-        """Run the stored recursion; reproduces the source expansion."""
+        """Run the stored recursion; reproduces the source expansion.
+
+        The engine's one recurrence loop: :func:`expand_family` and
+        :func:`expand_inverse` both run through it.
+        """
         if N < 0:
             raise NegativeOrder(f"order must be nonnegative, got {N}")
-        m = self.forcing_cutoff
-        out: list[Polynomial] = [self.forcing[0]]
+        order, feedback, forcing = self.order, self.feedback, self.forcing
+        m = len(forcing) - 1
+        out: list[Polynomial] = [forcing[0]]
         for k in range(1, N + 1):
             acc: dict[Monomial, int] = {}
             if k <= m:
-                acc.update(self.forcing[k].items())
-            for j in range(1, min(self.order, k) + 1):
-                add_product_into(acc, self.feedback[j - 1], out[k - j])
+                acc.update(forcing[k].items())
+            for j in range(1, min(order, k) + 1):
+                add_product_into(acc, feedback[j - 1], out[k - j])
             out.append(Polynomial(acc))
         return SeriesPrefix(out)
 
 
 def raise_denominator(B: Sequence[Polynomial], h: int) -> tuple[Polynomial, ...]:
     """t-coefficient sequence D_0..D_{h*n} of B^h, with D_0 = 1."""
-    if not B or not B[0].is_one():
-        raise BadConstantTerm("denominator constant term must be 1")
+    _check_denominator(B)
     if h < 1:
         raise ValueError(f"power must be a positive integer, got {h}")
-    result: list[Polynomial] = list(B)
-    while len(result) > 1 and result[-1].is_zero():
-        result.pop()
-    B = tuple(result)
+    B = _as_trimmed(B, "denominator")
+    result: Sequence[Polynomial] = B
     for _ in range(h - 1):
-        out_len = len(result) + len(B) - 1
-        acc: list[dict[Monomial, int]] = [{} for _ in range(out_len)]
-        for i, p in enumerate(result):
-            if p.is_zero():
-                continue
-            for j, q in enumerate(B):
-                add_product_into(acc[i + j], p, q)
-        result = [Polynomial(a) for a in acc]
+        result = convolve(result, B, len(result) + len(B) - 2)
     return tuple(result)
 
 
@@ -151,52 +145,26 @@ def expand_family(gf: RationalGF, N: int) -> SeriesPrefix:
     """P_0..P_N of the family generated by gf, by the derived recursion."""
     if N < 0:
         raise NegativeOrder(f"order must be nonnegative, got {N}")
-    D = gf.reduced_denominator()
-    n = len(D) - 1
-    A = gf.numerator
-    m = gf.m
-    out: list[Polynomial] = [A[0]]
-    for k in range(1, N + 1):
-        acc: dict[Monomial, int] = {}
-        if k <= m:
-            acc.update(A[k].items())
-        for j in range(1, min(n, k) + 1):
-            add_product_into(acc, D[j], out[k - j], sign=-1)
-        out.append(Polynomial(acc))
-    return SeriesPrefix(out)
+    return derive_recurrence(gf).expand(N)
 
 
 def expand_inverse(B: Sequence[Polynomial], N: int) -> SeriesPrefix:
     """Q_0..Q_N of 1/B: Q_0 = 1, Q_k = -sum B_j Q_{k-j}."""
-    if not B or not B[0].is_one():
-        raise BadConstantTerm("denominator constant term must be 1")
-    if N < 0:
-        raise NegativeOrder(f"order must be nonnegative, got {N}")
-    n = len(B) - 1
-    out: list[Polynomial] = [Polynomial.one()]
-    for k in range(1, N + 1):
-        acc: dict[Monomial, int] = {}
-        for j in range(1, min(n, k) + 1):
-            add_product_into(acc, B[j], out[k - j], sign=-1)
-        out.append(Polynomial(acc))
-    return SeriesPrefix(out)
+    _check_denominator(B)
+    feedback = tuple(-b for b in B[1:])
+    return Recurrence(len(feedback), feedback, (Polynomial.one(),)).expand(N)
 
 
 def convolve_numerator(A: Sequence[Polynomial], Q: SeriesPrefix) -> SeriesPrefix:
     """Rebuild P from the inverse sequence: P_k = sum_{j<=min(m,k)} A_j Q_{k-j}."""
-    m = len(A) - 1
-    out: list[Polynomial] = []
-    for k in range(Q.order + 1):
-        acc: dict[Monomial, int] = {}
-        for j in range(min(m, k) + 1):
-            add_product_into(acc, A[j], Q[k - j])
-        out.append(Polynomial(acc))
-    return SeriesPrefix(out)
+    return SeriesPrefix(convolve(A, Q.coeffs, Q.order))
 
 
 def identity_residual(gf: RationalGF, N: int) -> SeriesPrefix:
     """Left-minus-right of the double-sum identity; every entry must be 0.
 
+    The double sum sum_{j>=1} sum_l B_j A_l Q_{k-j-l} is order k of
+    ((B - 1) * A) * Q, so the inner products B_j A_l are formed once.
     Returns the residual series rather than a boolean so a failure shows
     exactly which order and which polynomial disagree.
     """
@@ -208,28 +176,20 @@ def identity_residual(gf: RationalGF, N: int) -> SeriesPrefix:
         raise NegativeOrder(f"order must be nonnegative, got {N}")
     A = gf.numerator
     B = gf.denominator
-    m, n = gf.m, gf.n
+    m = gf.m
     P = expand_family(gf, N)
     Q = expand_inverse(B, N)
-    out: list[Polynomial] = []
-    for k in range(N + 1):
-        lhs = (A[k] if k <= m else _ZERO) - P[k]
-        acc: dict[Monomial, int] = {}
-        for j in range(1, min(n, k) + 1):
-            for l in range(min(m, k - j) + 1):
-                prod: dict[Monomial, int] = {}
-                add_product_into(prod, B[j], A[l])
-                add_product_into(acc, Polynomial(prod), Q[k - j - l])
-        out.append(lhs - Polynomial(acc))
-    return SeriesPrefix(out)
+    C = convolve((_ZERO,) + B[1:], A, gf.n + m)  # (B - 1) * A
+    rhs = convolve(C, Q.coeffs, N)
+    return SeriesPrefix(
+        (A[k] if k <= m else _ZERO) - P[k] - rhs[k] for k in range(N + 1)
+    )
 
 
 def derive_recurrence(gf: RationalGF) -> Recurrence:
     """The recursion descriptor for gf, after denominator-power reduction."""
-    D = gf.reduced_denominator()
-    order = len(D) - 1
-    feedback = tuple(-D[j] for j in range(1, order + 1))
-    return Recurrence(order=order, feedback=feedback, forcing=gf.numerator)
+    feedback = tuple(-d for d in gf.reduced_denominator()[1:])
+    return Recurrence(len(feedback), feedback, gf.numerator)
 
 
 def render_recurrence(rec: Recurrence, symbol: str = "P") -> str:

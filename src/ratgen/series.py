@@ -9,7 +9,7 @@ Two independent constructions invert an admissible denominator (constant
 term 1): :func:`geometric_inverse` sums powers of ``1 - B`` and
 :func:`multinomial_inverse` enumerates the multinomial expansion of those
 powers directly.  They exist to cross-check the recurrence engine and each
-other, so neither is allowed to use the recurrence.
+other, so neither is allowed to use the recurrence or :func:`convolve`.
 """
 
 from __future__ import annotations
@@ -83,9 +83,7 @@ class SeriesPrefix:
     @classmethod
     def identity(cls, order: int) -> SeriesPrefix:
         """The series 1 truncated at the given order."""
-        if order < 0:
-            raise NegativeOrder(f"order must be nonnegative, got {order}")
-        return cls((Polynomial.one(),) + (Polynomial.zero(),) * order)
+        return cls.from_polynomials((Polynomial.one(),), order)
 
     @classmethod
     def from_polynomials(cls, seq: Sequence[Polynomial], order: int) -> SeriesPrefix:
@@ -97,20 +95,32 @@ class SeriesPrefix:
         return cls(coeffs)
 
 
+def convolve(
+    a: Sequence[Polynomial], b: Sequence[Polynomial], N: int
+) -> list[Polynomial]:
+    """Orders 0..N of the product of two t-coefficient sequences.
+
+    The engine's one truncated convolution: the Cauchy product, the
+    numerator convolution, the denominator power and the residual identity
+    all call it.  The inversion oracles below do not.
+    """
+    last_a, last_b = len(a) - 1, len(b) - 1
+    out: list[Polynomial] = []
+    for k in range(N + 1):
+        acc: dict[Monomial, int] = {}
+        for j in range(max(0, k - last_b), min(k, last_a) + 1):
+            add_product_into(acc, a[j], b[k - j])
+        out.append(Polynomial(acc))
+    return out
+
+
 def cauchy_mul(a: SeriesPrefix, b: SeriesPrefix) -> SeriesPrefix:
     """Convolution product of two prefixes of equal truncation order."""
     if a.order != b.order:
         raise OrderMismatch(
             f"truncation orders differ: {a.order} vs {b.order}"
         )
-    n = a.order
-    out = []
-    for k in range(n + 1):
-        acc: dict[Monomial, int] = {}
-        for j in range(k + 1):
-            add_product_into(acc, a[j], b[k - j])
-        out.append(Polynomial(acc))
-    return SeriesPrefix(out)
+    return SeriesPrefix(convolve(a.coeffs, b.coeffs, a.order))
 
 
 def _check_denominator(B: Sequence[Polynomial]) -> None:

@@ -5,7 +5,10 @@ import json
 import pytest
 from jsonschema import validate
 
+from ratgen import cli
 from ratgen.cli import main
+from ratgen.poly import Polynomial
+from ratgen.series import SeriesPrefix
 
 OUTPUT_SCHEMA = {
     "type": "object",
@@ -36,6 +39,18 @@ def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def corrupt_expansion_at(monkeypatch, index: int) -> None:
+    """Make the CLI's engine expansion wrong by +1 at one order."""
+    real = cli.expand_family
+
+    def corrupted(gf, N):
+        coeffs = list(real(gf, N).coeffs)
+        coeffs[index] = coeffs[index] + Polynomial.one()
+        return SeriesPrefix(coeffs)
+
+    monkeypatch.setattr(cli, "expand_family", corrupted)
 
 
 def check_json(out: str) -> dict:
@@ -96,6 +111,22 @@ def test_expand_rejects_incomplete_at(capsys):
     code, _, err = run(capsys, ["expand", *FIB, "-N", "2", "--at", "y=1"])
     assert code == 2
     assert "x" in err
+
+
+def test_expand_rejects_repeated_at_variable(capsys):
+    code, out, err = run(capsys, ["expand", *FIB, "-N", "2", "--at", "x=1,x=2"])
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "'x'" in err
+
+
+def test_expand_rejects_series_variable_in_at(capsys):
+    code, out, err = run(capsys, ["expand", *FIB, "-N", "2", "--at", "x=1,t=5"])
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "reserved series variable" in err
 
 
 def test_expand_rejects_bad_power(capsys):
@@ -175,10 +206,10 @@ def test_verify_multinomial_forced(capsys):
     assert out.startswith("PASS multinomial")
 
 
-def test_verify_corrupted_expansion_fails_with_index(capsys):
+def test_verify_corrupted_expansion_fails_with_index(capsys, monkeypatch):
+    corrupt_expansion_at(monkeypatch, 3)
     code, out, _ = run(
-        capsys,
-        ["verify", *FIB, "-N", "8", "--oracle", "geometric", "--corrupt", "3"],
+        capsys, ["verify", *FIB, "-N", "8", "--oracle", "geometric"]
     )
     assert code == 1
     assert "FAIL geometric" in out
@@ -271,15 +302,18 @@ def test_bad_flags_exit_2():
     assert info.value.code == 2
 
 
-def test_exit_codes_stay_in_contract(capsys):
+def test_exit_codes_stay_in_contract(capsys, monkeypatch):
     # 0 success, 1 mismatch, 2 input error; nothing else
-    cases = [
-        (["expand", *FIB, "-N", "2"], 0),
-        (["verify", *FIB, "-N", "6", "--oracle", "geometric", "--corrupt", "1"], 1),
-        (["expand", "--num", "1", "--den", "t +", "-N", "2"], 2),
-        (["family", "audit", "pell_lucas", "--mode", "printed", "-N", "2"], 1),
-        (["family", "audit", "pell_lucas", "-N", "2"], 0),
+    cases = [  # (argv, order at which to corrupt the expansion, exit code)
+        (["expand", *FIB, "-N", "2"], None, 0),
+        (["verify", *FIB, "-N", "6", "--oracle", "geometric"], 1, 1),
+        (["expand", "--num", "1", "--den", "t +", "-N", "2"], None, 2),
+        (["family", "audit", "pell_lucas", "--mode", "printed", "-N", "2"], None, 1),
+        (["family", "audit", "pell_lucas", "-N", "2"], None, 0),
     ]
-    for argv, expected in cases:
-        code, _, _ = run(capsys, argv)
+    for argv, corrupt, expected in cases:
+        with monkeypatch.context() as patch:
+            if corrupt is not None:
+                corrupt_expansion_at(patch, corrupt)
+            code, _, _ = run(capsys, argv)
         assert code == expected, argv

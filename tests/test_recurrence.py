@@ -5,6 +5,7 @@ import random
 import pytest
 
 from helpers import random_gf, random_poly
+from ratgen import recurrence
 from ratgen.errors import BadConstantTerm, NegativeOrder, PowerNotOne
 from ratgen.parser import join_in_t, split_in_t
 from ratgen.poly import Polynomial
@@ -287,6 +288,23 @@ def test_identity_residual_randomized():
         res = identity_residual(gf, 12)
         assert all(p.is_zero() for p in res)
         checked += 1
+
+
+def test_identity_residual_points_at_corrupted_order(monkeypatch):
+    real = recurrence.expand_family
+    gfs = [fib_gf(), catalan_gf(), RationalGF((one, x, c(2)), (one, -x, zero, x))]
+    for gf in gfs:
+        for k in range(7):
+            def corrupted(g, N, k=k):
+                coeffs = list(real(g, N).coeffs)
+                coeffs[k] = coeffs[k] + x
+                return SeriesPrefix(coeffs)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(recurrence, "expand_family", corrupted)
+                res = identity_residual(gf, 6)
+            assert all(p.is_zero() for p in res[:k])
+            assert not res[k].is_zero()
 
 
 def test_low_order_refinement():

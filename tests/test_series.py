@@ -5,11 +5,15 @@ import random
 import pytest
 
 from helpers import random_denominator, random_poly
+from ratgen import series
 from ratgen.errors import BadConstantTerm, NegativeOrder, OrderMismatch
+from ratgen.parser import join_in_t, split_in_t
 from ratgen.poly import Polynomial
+from ratgen.recurrence import Recurrence
 from ratgen.series import (
     SeriesPrefix,
     cauchy_mul,
+    convolve,
     geometric_inverse,
     multinomial_inverse,
 )
@@ -77,6 +81,35 @@ def test_cauchy_commutes_and_associates():
         c = SeriesPrefix([random_poly(rng) for _ in range(N + 1)])
         assert cauchy_mul(a, b) == cauchy_mul(b, a)
         assert cauchy_mul(cauchy_mul(a, b), c) == cauchy_mul(a, cauchy_mul(b, c))
+
+
+def test_convolve_matches_polynomial_product():
+    # oracle: multiply in the t-bearing ring and re-split
+    rng = random.Random(4242)
+    for len_a, len_b in [(1, 4), (4, 1), (2, 5), (3, 3)] * 5:
+        a = [random_poly(rng) for _ in range(len_a)]
+        b = [random_poly(rng) for _ in range(len_b)]
+        product = split_in_t(join_in_t(a) * join_in_t(b))
+        for N in range(len_a + len_b + 1):  # below and above len_a+len_b-2
+            expected = list(product[: N + 1])
+            expected += [zero] * (N + 1 - len(expected))
+            assert convolve(a, b, N) == expected
+
+
+def test_oracles_use_neither_engine_kernel(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("an oracle ran an engine kernel")
+
+    rng = random.Random(8128)
+    cases = [(random_denominator(rng), rng.randint(0, 8)) for _ in range(10)]
+    monkeypatch.setattr(Recurrence, "expand", refuse)
+    for B, N in cases:
+        inv = geometric_inverse(B, N)
+        b_series = SeriesPrefix.from_polynomials(B, N)
+        assert cauchy_mul(b_series, inv) == SeriesPrefix.identity(N)
+    monkeypatch.setattr(series, "convolve", refuse)
+    for B, N in cases:
+        assert multinomial_inverse(B, N) == geometric_inverse(B, N)
 
 
 def test_geometric_inverse_of_one_minus_t():
