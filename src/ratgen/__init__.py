@@ -18,6 +18,7 @@ from .errors import (
     ParseError,
     PowerNotOne,
     RatGenError,
+    TooManyDigits,
     UnknownFamily,
 )
 from .families import audit, instantiate, list_families
@@ -54,6 +55,7 @@ __all__ = [
     "RationalGF",
     "Recurrence",
     "SeriesPrefix",
+    "TooManyDigits",
     "UnknownFamily",
     "audit",
     "cauchy_mul",

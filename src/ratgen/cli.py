@@ -2,8 +2,8 @@
 
 Subcommands: expand, recurrence, verify, and family {list,expand,audit}.
 Exit codes: 0 success / all checks pass, 1 verification or audit mismatch,
-2 invalid input.  Output is deterministic: identical invocations produce
-byte-identical output.
+2 invalid input or an internal error.  Output is deterministic: identical
+invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import sys
 from typing import Sequence
 
 from . import families as families_mod
-from .errors import InvalidVariable, MissingVariable, RatGenError
+from .errors import InvalidVariable, MissingVariable, RatGenError, TooManyDigits
 from .parser import format_poly, parse_poly, split_in_t
 from .poly import Polynomial, validate_variable_name
 from .recurrence import (
@@ -180,9 +180,13 @@ def _records(
         row: dict[str, object] = {"k": k, "poly": format_poly(p)}
         if at is not None:
             try:
-                row["value"] = str(p.evaluate(at))
+                value = p.evaluate(at)
             except MissingVariable as exc:
                 raise RatGenError(f"--at is incomplete at k={k}: {exc}") from exc
+            try:
+                row["value"] = str(value)
+            except ValueError:  # past the interpreter's digit limit
+                raise TooManyDigits(f"the --at value at k={k}") from None
         rows.append(row)
     return rows
 
@@ -262,8 +266,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if N < 0:
         raise RatGenError(f"order must be nonnegative, got {N}")
     selected = args.oracle
-    D = gf.reduced_denominator()
-    engine = expand_family(gf, N)
+    reduced = gf.reduced()  # B^h once, for the engine and every oracle
+    D = reduced.denominator
+    engine = expand_family(reduced, N)
 
     ok = True
     if selected in ("geometric", "all"):
@@ -288,7 +293,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         oracle = convolve_numerator(gf.numerator, expand_inverse(D, N))
         ok &= _report("convolution", engine, oracle, f"N={N}")
     if selected in ("residual", "all"):
-        residual = identity_residual(gf.reduced(), N)
+        residual = identity_residual(reduced, N)
         zero = SeriesPrefix.from_polynomials((), N)
         ok &= _report("residual", residual, zero, f"N={N}")
     return 0 if ok else 1
@@ -392,6 +397,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         raise AssertionError(f"unhandled command {args.command!r}")
     except RatGenError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:  # a defect, not bad input; 1 means a failed check
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -5,6 +5,8 @@ Every error raised on a documented failure path is a subclass of
 problem to a single diagnostic path.
 """
 
+import sys
+
 
 class RatGenError(Exception):
     """Base class for all errors raised by ratgen."""
@@ -32,6 +34,14 @@ class NegativeOrder(RatGenError):
 
 class PowerNotOne(RatGenError):
     """An operation that requires denominator power 1 got a higher power."""
+
+
+class TooManyDigits(RatGenError):
+    """An integer past the interpreter's limit on decimal conversion."""
+
+    def __init__(self, what: str):
+        limit = sys.get_int_max_str_digits()
+        super().__init__(f"{what} has more than {limit} decimal digits")
 
 
 class UnknownFamily(RatGenError):

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .errors import ExponentTooLarge, NegativeExponent, ParseError
+from .errors import ExponentTooLarge, NegativeExponent, ParseError, TooManyDigits
 from .poly import RESERVED_VARIABLE, Monomial, Polynomial
 
 DEFAULT_MAX_EXPONENT = 1 << 16
@@ -79,6 +79,16 @@ class _Parser:
         self.pos += 1
         return tok
 
+    def integer(self) -> int:
+        """Consume an integer literal and return its value."""
+        tok = self.advance()
+        try:
+            return int(tok.text)
+        except ValueError:  # past the interpreter's digit limit
+            raise ParseError(
+                f"integer literal of {len(tok.text)} digits is too long", tok.pos
+            ) from None
+
     def fail(self, expected: str) -> ParseError:
         tok = self.current
         got = "end of input" if tok.kind == "end" else repr(tok.text)
@@ -111,8 +121,7 @@ class _Parser:
                 raise NegativeExponent("exponent must be nonnegative", tok.pos)
             if tok.kind != "int":
                 raise self.fail("a nonnegative integer exponent")
-            self.advance()
-            exponent = int(tok.text)
+            exponent = self.integer()
             if exponent > self.max_exponent:
                 raise ExponentTooLarge(
                     f"exponent {exponent} exceeds bound {self.max_exponent}",
@@ -124,8 +133,7 @@ class _Parser:
     def parse_base(self) -> Polynomial:
         tok = self.current
         if tok.kind == "int":
-            self.advance()
-            return Polynomial.constant(int(tok.text))
+            return Polynomial.constant(self.integer())
         if tok.kind == "name":
             self.advance()
             return Polynomial._raw({((tok.text, 1),): 1})
@@ -197,7 +205,10 @@ def format_poly(p: Polynomial) -> str:
         magnitude = abs(coeff)
         parts: list[str] = []
         if magnitude != 1 or not mono:
-            parts.append(str(magnitude))
+            try:
+                parts.append(str(magnitude))
+            except ValueError:  # past the interpreter's digit limit
+                raise TooManyDigits("a coefficient") from None
         for var, e in mono:
             parts.append(var if e == 1 else f"{var}^{e}")
         body = "*".join(parts)

@@ -6,10 +6,11 @@ polynomials of f obey
     P_0 = A_0,    P_k = [k <= m] A_k - sum_{j=1..min(n,k)} B_j P_{k-j}
 
 after the denominator power has been folded in (B^h is again a polynomial
-in t with constant term 1).  This module derives that recursion as data,
-runs it, and computes the companion identities used for cross-checking:
-the inverse sequence Q of 1/B, the numerator convolution that rebuilds P
-from Q, and the residual that must vanish identically.
+in t with constant term 1, built by Miller's power recurrence and only up
+to the order an expansion reads).  This module derives that recursion as
+data, runs it, and computes the companion identities used for
+cross-checking: the inverse sequence Q of 1/B, the numerator convolution
+that rebuilds P from Q, and the residual that must vanish identically.
 """
 
 from __future__ import annotations
@@ -70,11 +71,18 @@ class RationalGF:
     def n(self) -> int:
         return len(self.denominator) - 1
 
-    def reduced_denominator(self) -> tuple[Polynomial, ...]:
-        """The plain denominator after folding in the power."""
-        if self.power == 1:
+    def reduced_denominator(self, N: int | None = None) -> tuple[Polynomial, ...]:
+        """D_0..D_min(N, h*n) of B^h, the denominator with the power folded in.
+
+        N = None keeps every order, h*n + 1 of them.
+        """
+        if self.power > 1:
+            return raise_denominator(self.denominator, self.power, N)
+        if N is None:
             return self.denominator
-        return raise_denominator(self.denominator, self.power)
+        if N < 0:
+            raise NegativeOrder(f"order must be nonnegative, got {N}")
+        return self.denominator[: N + 1]
 
     def reduced(self) -> RationalGF:
         """The equivalent generating function with power 1."""
@@ -129,23 +137,51 @@ class Recurrence:
         return SeriesPrefix(out)
 
 
-def raise_denominator(B: Sequence[Polynomial], h: int) -> tuple[Polynomial, ...]:
-    """t-coefficient sequence D_0..D_{h*n} of B^h, with D_0 = 1."""
+def raise_denominator(
+    B: Sequence[Polynomial], h: int, N: int | None = None
+) -> tuple[Polynomial, ...]:
+    """D_0..D_min(N, h*n) of B^h, with D_0 = 1; N = None gives all orders.
+
+    J.C.P. Miller's power recurrence (Knuth, TAOCP vol. 2, section 4.7):
+
+        k*D_k = sum_{j=1..min(n,k)} ((h+1)*j - k) * B_j * D_{k-j}
+
+    so each order costs at most n small-by-large products and one division
+    by k, which is exact because B_0 = 1.
+    """
     _check_denominator(B)
     if h < 1:
         raise ValueError(f"power must be a positive integer, got {h}")
+    if N is not None and N < 0:
+        raise NegativeOrder(f"order must be nonnegative, got {N}")
     B = _as_trimmed(B, "denominator")
-    result: Sequence[Polynomial] = B
-    for _ in range(h - 1):
-        result = convolve(result, B, len(result) + len(B) - 2)
-    return tuple(result)
+    n = len(B) - 1
+    top = h * n if N is None else min(N, h * n)
+    D: list[Polynomial] = [B[0]]
+    for k in range(1, top + 1):
+        acc: dict[Monomial, int] = {}
+        for j in range(1, min(n, k) + 1):
+            weight = (h + 1) * j - k
+            if weight:
+                scaled = Polynomial._raw({m: weight * c for m, c in B[j].items()})
+                add_product_into(acc, scaled, D[k - j])
+        terms: dict[Monomial, int] = {}
+        for mono, c in acc.items():
+            q, r = divmod(c, k)
+            if r:
+                raise ArithmeticError(
+                    f"Miller recurrence: order {k} of B^{h} is not divisible by {k}"
+                )
+            terms[mono] = q
+        D.append(Polynomial._raw(terms))
+    return tuple(D)
 
 
 def expand_family(gf: RationalGF, N: int) -> SeriesPrefix:
     """P_0..P_N of the family generated by gf, by the derived recursion."""
     if N < 0:
         raise NegativeOrder(f"order must be nonnegative, got {N}")
-    return derive_recurrence(gf).expand(N)
+    return derive_recurrence(gf, N).expand(N)
 
 
 def expand_inverse(B: Sequence[Polynomial], N: int) -> SeriesPrefix:
@@ -186,9 +222,13 @@ def identity_residual(gf: RationalGF, N: int) -> SeriesPrefix:
     )
 
 
-def derive_recurrence(gf: RationalGF) -> Recurrence:
-    """The recursion descriptor for gf, after denominator-power reduction."""
-    feedback = tuple(-d for d in gf.reduced_denominator()[1:])
+def derive_recurrence(gf: RationalGF, N: int | None = None) -> Recurrence:
+    """The recursion descriptor for gf, after denominator-power reduction.
+
+    With N, feedback stops at order N: enough to expand P_0..P_N, which
+    reads feedback_j only for j <= k <= N.
+    """
+    feedback = tuple(-d for d in gf.reduced_denominator(N)[1:])
     return Recurrence(len(feedback), feedback, gf.numerator)
 
 

@@ -101,8 +101,8 @@ def convolve(
     """Orders 0..N of the product of two t-coefficient sequences.
 
     The engine's one truncated convolution: the Cauchy product, the
-    numerator convolution, the denominator power and the residual identity
-    all call it.  The inversion oracles below do not.
+    numerator convolution and the residual identity all call it.  The
+    inversion oracles below do not.
     """
     last_a, last_b = len(a) - 1, len(b) - 1
     out: list[Polynomial] = []

@@ -302,6 +302,48 @@ def test_bad_flags_exit_2():
     assert info.value.code == 2
 
 
+LONG = "9" * 5000  # past the interpreter's 4,300-digit int/str limit
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["expand", "--num", "1", "--den", "1 - 100000*t", "-N", "1000"],
+     "a coefficient has more than"),
+    (["expand", "--num", LONG, "--den", "1 - t", "-N", "1"],
+     "integer literal of 5000 digits is too long (at position 0)"),
+    (["expand", "--num", "1", "--den", "1 - x*t", "-N", "2", "--at", "x=" + LONG[:4000]],
+     "the --at value at k=2 has more than"),
+], ids=["format", "parse", "at-value"])
+def test_integers_past_digit_limit_exit_2(capsys, argv, message):
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and message in err
+
+
+def test_expand_high_power_reads_only_requested_orders(capsys):
+    code, out, _ = run(
+        capsys, ["expand", "--num", "1", "--den", "1-x*t", "--pow", "100000", "-N", "6"]
+    )
+    assert code == 0
+    assert out.splitlines()[-1] == "P_6 = 1389097234028090281583350000*x^6"  # C(100005, 6)
+
+
+def test_internal_error_exits_2_with_one_line(capsys, monkeypatch):
+    def broken(gf, N):
+        raise RuntimeError("boom")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "expand_family", broken)
+        code, out, err = run(capsys, ["expand", *FIB, "-N", "2"])
+    assert (code, out, err) == (2, "", "error: internal error: RuntimeError: boom\n")
+
+    nested = "(" * 3000 + "t" + ")" * 3000
+    code, out, err = run(capsys, ["expand", "--num", nested, "--den", "1 - t", "-N", "2"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_exit_codes_stay_in_contract(capsys, monkeypatch):
     # 0 success, 1 mismatch, 2 input error; nothing else
     cases = [  # (argv, order at which to corrupt the expansion, exit code)

@@ -89,13 +89,16 @@ def test_raise_denominator_fibonacci_squared():
 
 def test_raise_denominator_matches_polynomial_power():
     # oracle: multiply out in the t-bearing polynomial ring and re-split
+    # h up to 8 takes Miller's weights (h+1)*j - k through zero to negative
     rng = random.Random(63)
     for _ in range(25):
-        n = rng.randint(0, 3)
-        h = rng.randint(1, 3)
+        n = rng.randint(0, 4)
+        h = rng.randint(1, 8)
         B = [one] + [random_poly(rng) for _ in range(n)]
         expected = split_in_t(join_in_t(B) ** h)
         assert raise_denominator(B, h) == expected
+        for N in range(h * n + 2):
+            assert raise_denominator(B, h, N) == expected[: N + 1]
 
 
 def test_raise_denominator_rejects_bad_input():
@@ -103,6 +106,19 @@ def test_raise_denominator_rejects_bad_input():
         raise_denominator([c(2)], 2)
     with pytest.raises(ValueError):
         raise_denominator([one], 0)
+
+
+def test_truncated_power_leaves_expansion_unchanged():
+    rng = random.Random(1729)
+    for _ in range(15):
+        gf = random_gf(rng)
+        gf = RationalGF(gf.numerator, gf.denominator, rng.randint(1, 5))
+        full = gf.reduced_denominator()
+        for N in range(gf.power * gf.n + 1):
+            assert gf.reduced_denominator(N) == full[: N + 1]
+            assert expand_family(gf, N) == expand_family(gf.reduced(), N)
+    with pytest.raises(NegativeOrder):
+        fib_gf().reduced_denominator(-1)
 
 
 # -- expansions -----------------------------------------------------------------
