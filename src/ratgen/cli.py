@@ -146,11 +146,15 @@ def _parse_at(text: str | None) -> dict[str, int] | None:
             raise RatGenError(f"bad --at entry {piece!r}: {exc}") from None
         if var in assignment:
             raise RatGenError(f"--at assigns {var!r} more than once")
+        value = value.strip()
         try:
-            assignment[var] = int(value.strip())
+            assignment[var] = int(value)
         except ValueError:
+            digits = value[1:] if value[:1] in ("+", "-") else value
+            if digits.isdecimal():  # past the interpreter's digit limit
+                raise TooManyDigits(f"the --at value for {var!r}") from None
             raise RatGenError(
-                f"bad --at value for {var!r}: {value.strip()!r} is not an integer"
+                f"bad --at value for {var!r}: {value!r} is not an integer"
             ) from None
     if not assignment:
         raise RatGenError("--at given but no assignments parsed")
@@ -266,7 +270,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if N < 0:
         raise RatGenError(f"order must be nonnegative, got {N}")
     selected = args.oracle
-    reduced = gf.reduced()  # B^h once, for the engine and every oracle
+    # B^h once, for the engine and every oracle; each reads only D_0..D_N
+    reduced = RationalGF(gf.numerator, gf.reduced_denominator(N))
     D = reduced.denominator
     engine = expand_family(reduced, N)
 

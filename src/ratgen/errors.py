@@ -69,4 +69,4 @@ class NegativeExponent(ParseError):
 
 
 class ExponentTooLarge(ParseError):
-    """An exponent literal beyond the configured bound."""
+    """An exponent literal beyond the parser's bound."""

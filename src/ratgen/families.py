@@ -1,12 +1,15 @@
 """Catalog of the named polynomial families and the initial-value auditor.
 
-Each entry stores the generating-function components exactly as printed in
-the source table alongside a canonical numerator that actually reproduces
-the table's stated initial values.  Three rows are internally inconsistent
-as printed (pell, horadam_first, pell_lucas: the printed numerator does not
-generate the stated first values), and the horadam_second row states a
-constant term its printed numerator cannot produce; the auditor exists to
-demonstrate those discrepancies rather than paper over them.
+Each family is declared once: a builder decorated with :func:`_family`,
+which registers its name, summary and parameters.  The builder returns the
+generating-function components exactly as printed in the source table,
+together with the table's stated initial values and recursive formula.
+Where the printed numerator does not generate the stated values, the
+builder also gives a canonical numerator that does.  Three rows are
+internally inconsistent as printed (pell, horadam_first, pell_lucas), and
+the horadam_second row states a constant term its printed numerator cannot
+produce; the auditor exists to demonstrate those discrepancies rather than
+paper over them.
 
 All catalog data is built on demand from parameters; nothing is mutated
 after construction.
@@ -24,10 +27,8 @@ from .series import SeriesPrefix
 
 _ZERO = Polynomial.zero()
 _ONE = Polynomial.one()
-
-
-def _var(name: str) -> Polynomial:
-    return Polynomial.variable(name)
+_TWO = Polynomial.constant(2)
+_X = Polynomial.variable("x")
 
 
 def _const(c: int) -> Polynomial:
@@ -36,23 +37,30 @@ def _const(c: int) -> Polynomial:
 
 @dataclass(frozen=True)
 class ParamSpec:
+    """A family parameter, typed by its default: ``int`` or :class:`Polynomial`."""
+
     name: str
-    kind: str  # "int" or "poly"
-    default: object
+    default: int | Polynomial
     minimum: int | None = None
-    description: str = ""
 
 
 @dataclass(frozen=True)
 class FamilyParts:
-    """Instantiated components of one family."""
+    """Instantiated components of one family.
+
+    ``numerator_canonical`` defaults to the printed numerator.
+    """
 
     numerator_printed: tuple[Polynomial, ...]
-    numerator_canonical: tuple[Polynomial, ...]
     denominator: tuple[Polynomial, ...]
     stated_initial_values: tuple[Polynomial, ...] | None
     expected_feedback: tuple[Polynomial, ...]
+    numerator_canonical: tuple[Polynomial, ...] | None = None
     notes: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        if self.numerator_canonical is None:
+            object.__setattr__(self, "numerator_canonical", self.numerator_printed)
 
     def gf(self, mode: str) -> RationalGF:
         """The generating function in the printed or canonical reading."""
@@ -73,11 +81,8 @@ def _resolve_params(spec: FamilySpec, parameters: Mapping[str, object] | None) -
     given = dict(parameters or {})
     resolved: dict[str, object] = {}
     for p in spec.params:
-        if p.name in given:
-            value = given.pop(p.name)
-        else:
-            value = p.default
-        if p.kind == "int":
+        value = given.pop(p.name, p.default)
+        if isinstance(p.default, int):
             if isinstance(value, bool) or not isinstance(value, int):
                 raise BadParameter(
                     f"{spec.name}: parameter {p.name} must be an integer"
@@ -86,12 +91,8 @@ def _resolve_params(spec: FamilySpec, parameters: Mapping[str, object] | None) -
                 raise BadParameter(
                     f"{spec.name}: parameter {p.name} must be >= {p.minimum}"
                 )
-        elif p.kind == "poly":
-            if isinstance(value, bool):
-                raise BadParameter(
-                    f"{spec.name}: parameter {p.name} must be a polynomial"
-                )
-            if isinstance(value, int):
+        else:
+            if isinstance(value, int) and not isinstance(value, bool):
                 value = _const(value)
             if not isinstance(value, Polynomial):
                 raise BadParameter(
@@ -109,56 +110,76 @@ def _resolve_params(spec: FamilySpec, parameters: Mapping[str, object] | None) -
     return resolved
 
 
-# -- builders ----------------------------------------------------------------
+# -- the catalog -------------------------------------------------------------
+
+_CATALOG: dict[str, FamilySpec] = {}
 
 
+def _family(name: str, summary: str, *params: ParamSpec):
+    """Register the decorated builder as the catalog entry ``name``."""
+
+    def register(build: Callable[[dict], FamilyParts]) -> Callable[[dict], FamilyParts]:
+        _CATALOG[name] = FamilySpec(name, summary, params, build)
+        return build
+
+    return register
+
+
+_M = ParamSpec("m", 2, minimum=2)  # t-degree of the denominator
+_A = ParamSpec("A", _ZERO)  # numerator coefficient of t
+_P = ParamSpec("p", 1)  # coefficient of x*t
+_Q = ParamSpec("q", 1)  # coefficient of t^2
+
+_NUMERATOR_T_NOTE = (
+    "printed numerator 1 yields constant term 1, contradicting the "
+    "stated initial value 0; canonical numerator is t"
+)
+
+
+def _fibonacci_like(m: int) -> tuple[tuple[Polynomial, ...], tuple[Polynomial, ...]]:
+    """Denominator 1 - x*t - t^m and its recursive formula x, 0, .., 0, 1."""
+    gap = (_ZERO,) * (m - 2)
+    return (_ONE, -_X, *gap, -_ONE), (_X, *gap, _ONE)
+
+
+@_family("fibonacci", "Fibonacci polynomials, generated by t / (1 - x*t - t^2)")
 def _fibonacci(params: dict) -> FamilyParts:
-    x = _var("x")
-    num = (_ZERO, _ONE)
-    return FamilyParts(
-        numerator_printed=num,
-        numerator_canonical=num,
-        denominator=(_ONE, -x, -_ONE),
-        stated_initial_values=(_ZERO, _ONE),
-        expected_feedback=(x, _ONE),
-    )
-
-
-def _catalan(params: dict) -> FamilyParts:
-    x = _var("x")
-    num = (_ONE,)
-    return FamilyParts(
-        numerator_printed=num,
-        numerator_canonical=num,
-        denominator=(_ONE, -_ONE, x),
-        stated_initial_values=(_ONE, _ONE),
-        expected_feedback=(_ONE, -x),
-    )
-
-
-def _gen_fibonacci(params: dict) -> FamilyParts:
-    m = params["m"]
-    x = _var("x")
-    den = [_ONE, -x] + [_ZERO] * (m - 2) + [-_ONE]
-    feedback = [x] + [_ZERO] * (m - 2) + [_ONE]
     return FamilyParts(
         numerator_printed=(_ZERO, _ONE),
-        numerator_canonical=(_ZERO, _ONE),
-        denominator=tuple(den),
-        stated_initial_values=None,
-        expected_feedback=tuple(feedback),
+        denominator=(_ONE, -_X, -_ONE),
+        stated_initial_values=(_ZERO, _ONE),
+        expected_feedback=(_X, _ONE),
     )
 
 
-def _jacobsthal(params: dict) -> FamilyParts:
-    x = _var("x")
-    num = (_ZERO, _ONE)
+@_family("catalan", "Catalan polynomials, generated by 1 / (1 - t + x*t^2)")
+def _catalan(params: dict) -> FamilyParts:
     return FamilyParts(
-        numerator_printed=num,
-        numerator_canonical=num,
-        denominator=(_ONE, -_ONE, -x),
+        numerator_printed=(_ONE,),
+        denominator=(_ONE, -_ONE, _X),
+        stated_initial_values=(_ONE, _ONE),
+        expected_feedback=(_ONE, -_X),
+    )
+
+
+@_family("gen_fibonacci", "generalized Fibonacci polynomials, t / (1 - x*t - t^m)", _M)
+def _gen_fibonacci(params: dict) -> FamilyParts:
+    den, feedback = _fibonacci_like(params["m"])
+    return FamilyParts(
+        numerator_printed=(_ZERO, _ONE),
+        denominator=den,
+        stated_initial_values=None,
+        expected_feedback=feedback,
+    )
+
+
+@_family("jacobsthal", "Jacobsthal polynomials, t / (1 - t - x*t^2)")
+def _jacobsthal(params: dict) -> FamilyParts:
+    return FamilyParts(
+        numerator_printed=(_ZERO, _ONE),
+        denominator=(_ONE, -_ONE, -_X),
         stated_initial_values=(_ZERO, _ONE, _ONE),
-        expected_feedback=(_ONE, x),
+        expected_feedback=(_ONE, _X),
         notes=(
             "table states J_1 = J_2 = 1; the expansion starts at k = 0 "
             "with value 0, so the stated values are recorded as (0, 1, 1)",
@@ -166,32 +187,37 @@ def _jacobsthal(params: dict) -> FamilyParts:
     )
 
 
+@_family(
+    "horadam_first",
+    "Horadam polynomials of the first kind, 1 / (1 - p*x*t - q*t^2)",
+    _P,
+    _Q,
+)
 def _horadam_first(params: dict) -> FamilyParts:
     p, q = params["p"], params["q"]
-    x = _var("x")
     return FamilyParts(
         numerator_printed=(_ONE,),
         numerator_canonical=(_ZERO, _ONE),
-        denominator=(_ONE, _const(-p) * x, _const(-q)),
+        denominator=(_ONE, _const(-p) * _X, _const(-q)),
         stated_initial_values=(_ZERO, _ONE),
-        expected_feedback=(_const(p) * x, _const(q)),
-        notes=(
-            "printed numerator 1 yields constant term 1, contradicting the "
-            "stated initial value 0; canonical numerator is t",
-        ),
+        expected_feedback=(_const(p) * _X, _const(q)),
+        notes=(_NUMERATOR_T_NOTE,),
     )
 
 
+@_family(
+    "horadam_second",
+    "Horadam polynomials of the second kind, (1 + q*t^2) / (1 - p*x*t - q*t^2)",
+    _P,
+    _Q,
+)
 def _horadam_second(params: dict) -> FamilyParts:
     p, q = params["p"], params["q"]
-    x = _var("x")
-    num = (_ONE, _ZERO, _const(q))
     return FamilyParts(
-        numerator_printed=num,
-        numerator_canonical=num,
-        denominator=(_ONE, _const(-p) * x, _const(-q)),
-        stated_initial_values=(_const(2), x),
-        expected_feedback=(_const(p) * x, _const(q)),
+        numerator_printed=(_ONE, _ZERO, _const(q)),
+        denominator=(_ONE, _const(-p) * _X, _const(-q)),
+        stated_initial_values=(_TWO, _X),
+        expected_feedback=(_const(p) * _X, _const(q)),
         notes=(
             "printed numerator 1+q*t^2 yields constant term 1, not the "
             "stated 2 (and p*x at k = 1); no canonical fixup is applied, "
@@ -200,31 +226,27 @@ def _horadam_second(params: dict) -> FamilyParts:
     )
 
 
+@_family("pell", "Pell polynomials, t / (1 - 2*x*t - t^2)")
 def _pell(params: dict) -> FamilyParts:
-    x = _var("x")
-    two_x = _const(2) * x
+    two_x = _TWO * _X
     return FamilyParts(
         numerator_printed=(_ONE,),
         numerator_canonical=(_ZERO, _ONE),
         denominator=(_ONE, -two_x, -_ONE),
         stated_initial_values=(_ZERO, _ONE),
         expected_feedback=(two_x, _ONE),
-        notes=(
-            "printed numerator 1 yields constant term 1, contradicting the "
-            "stated initial value 0; canonical numerator is t",
-        ),
+        notes=(_NUMERATOR_T_NOTE,),
     )
 
 
+@_family("pell_lucas", "Pell-Lucas polynomials, (2 - 2*x*t) / (1 - 2*x*t - t^2)")
 def _pell_lucas(params: dict) -> FamilyParts:
-    x = _var("x")
-    two = _const(2)
-    two_x = two * x
+    two_x = _TWO * _X
     return FamilyParts(
-        numerator_printed=(two_x, two),
-        numerator_canonical=(two, -two_x),
+        numerator_printed=(two_x, _TWO),
+        numerator_canonical=(_TWO, -two_x),
         denominator=(_ONE, -two_x, -_ONE),
-        stated_initial_values=(two, two_x),
+        stated_initial_values=(_TWO, two_x),
         expected_feedback=(two_x, _ONE),
         notes=(
             "printed numerator 2x+2t yields constant term 2x, not the "
@@ -233,141 +255,54 @@ def _pell_lucas(params: dict) -> FamilyParts:
     )
 
 
+@_family("gen_lucas", "generalized Lucas polynomials, (2 - x*t) / (1 - x*t - t^m)", _M)
 def _gen_lucas(params: dict) -> FamilyParts:
-    m = params["m"]
-    x = _var("x")
-    den = [_ONE, -x] + [_ZERO] * (m - 2) + [-_ONE]
-    feedback = [x] + [_ZERO] * (m - 2) + [_ONE]
-    num = (_const(2), -x)
+    den, feedback = _fibonacci_like(params["m"])
     return FamilyParts(
-        numerator_printed=num,
-        numerator_canonical=num,
-        denominator=tuple(den),
+        numerator_printed=(_TWO, -_X),
+        denominator=den,
         stated_initial_values=None,
-        expected_feedback=tuple(feedback),
+        expected_feedback=feedback,
     )
 
 
+@_family(
+    "gen_catalan",
+    "generalized Catalan polynomials, (1 + A*t) / (1 - m*t + x*t^m)",
+    _M,
+    _A,
+)
 def _gen_catalan(params: dict) -> FamilyParts:
-    m = params["m"]
-    A = params["A"]
-    x = _var("x")
-    den = [_ONE, _const(-m)] + [_ZERO] * (m - 2) + [x]
-    feedback = [_const(m)] + [_ZERO] * (m - 2) + [-x]
-    num = (_ONE, A)
-    return FamilyParts(
-        numerator_printed=num,
-        numerator_canonical=num,
-        denominator=tuple(den),
-        stated_initial_values=(_ONE, A + _const(m)),
-        expected_feedback=tuple(feedback),
-    )
-
-
-def _gen_two_var_fibonacci(params: dict) -> FamilyParts:
-    a, b, c = params["a"], params["b"], params["c"]
-    A = params["A"]
-    x_a = _var("x") ** a
-    y_b = _var("y") ** b
-    span = b + c
-    den = [_ONE, -x_a] + [_ZERO] * (span - 2) + [-y_b]
-    feedback = [x_a] + [_ZERO] * (span - 2) + [y_b]
+    m, A = params["m"], params["A"]
+    gap = (_ZERO,) * (m - 2)
     return FamilyParts(
         numerator_printed=(_ONE, A),
-        numerator_canonical=(_ONE, A),
-        denominator=tuple(den),
+        denominator=(_ONE, _const(-m), *gap, _X),
+        stated_initial_values=(_ONE, A + _const(m)),
+        expected_feedback=(_const(m), *gap, -_X),
+    )
+
+
+@_family(
+    "gen_two_var_fibonacci",
+    "two-variable Fibonacci polynomials, (1 + A*t) / (1 - x^a*t - y^b*t^(b+c))",
+    ParamSpec("a", 1, minimum=1),  # exponent of x
+    ParamSpec("b", 1, minimum=1),  # exponent of y
+    ParamSpec("c", 1, minimum=1),  # t-degree offset
+    _A,
+)
+def _gen_two_var_fibonacci(params: dict) -> FamilyParts:
+    a, b, c, A = params["a"], params["b"], params["c"], params["A"]
+    x_a = _X**a
+    y_b = Polynomial.variable("y") ** b
+    gap = (_ZERO,) * (b + c - 2)
+    return FamilyParts(
+        numerator_printed=(_ONE, A),
+        denominator=(_ONE, -x_a, *gap, -y_b),
         stated_initial_values=(_ONE, A + x_a),
-        expected_feedback=tuple(feedback),
+        expected_feedback=(x_a, *gap, y_b),
     )
 
-
-_CATALOG: dict[str, FamilySpec] = {
-    spec.name: spec
-    for spec in (
-        FamilySpec(
-            "catalan",
-            "Catalan polynomials, generated by 1 / (1 - t + x*t^2)",
-            (),
-            _catalan,
-        ),
-        FamilySpec(
-            "fibonacci",
-            "Fibonacci polynomials, generated by t / (1 - x*t - t^2)",
-            (),
-            _fibonacci,
-        ),
-        FamilySpec(
-            "gen_catalan",
-            "generalized Catalan polynomials, (1 + A*t) / (1 - m*t + x*t^m)",
-            (
-                ParamSpec("m", "int", 2, minimum=2, description="t-degree of the denominator"),
-                ParamSpec("A", "poly", _ZERO, description="numerator coefficient of t"),
-            ),
-            _gen_catalan,
-        ),
-        FamilySpec(
-            "gen_fibonacci",
-            "generalized Fibonacci polynomials, t / (1 - x*t - t^m)",
-            (ParamSpec("m", "int", 2, minimum=2, description="t-degree of the denominator"),),
-            _gen_fibonacci,
-        ),
-        FamilySpec(
-            "gen_lucas",
-            "generalized Lucas polynomials, (2 - x*t) / (1 - x*t - t^m)",
-            (ParamSpec("m", "int", 2, minimum=2, description="t-degree of the denominator"),),
-            _gen_lucas,
-        ),
-        FamilySpec(
-            "gen_two_var_fibonacci",
-            "two-variable Fibonacci polynomials, "
-            "(1 + A*t) / (1 - x^a*t - y^b*t^(b+c))",
-            (
-                ParamSpec("a", "int", 1, minimum=1, description="exponent of x"),
-                ParamSpec("b", "int", 1, minimum=1, description="exponent of y"),
-                ParamSpec("c", "int", 1, minimum=1, description="t-degree offset"),
-                ParamSpec("A", "poly", _ZERO, description="numerator coefficient of t"),
-            ),
-            _gen_two_var_fibonacci,
-        ),
-        FamilySpec(
-            "horadam_first",
-            "Horadam polynomials of the first kind, 1 / (1 - p*x*t - q*t^2)",
-            (
-                ParamSpec("p", "int", 1, description="coefficient of x*t"),
-                ParamSpec("q", "int", 1, description="coefficient of t^2"),
-            ),
-            _horadam_first,
-        ),
-        FamilySpec(
-            "horadam_second",
-            "Horadam polynomials of the second kind, "
-            "(1 + q*t^2) / (1 - p*x*t - q*t^2)",
-            (
-                ParamSpec("p", "int", 1, description="coefficient of x*t"),
-                ParamSpec("q", "int", 1, description="coefficient of t^2"),
-            ),
-            _horadam_second,
-        ),
-        FamilySpec(
-            "jacobsthal",
-            "Jacobsthal polynomials, t / (1 - t - x*t^2)",
-            (),
-            _jacobsthal,
-        ),
-        FamilySpec(
-            "pell",
-            "Pell polynomials, t / (1 - 2*x*t - t^2)",
-            (),
-            _pell,
-        ),
-        FamilySpec(
-            "pell_lucas",
-            "Pell-Lucas polynomials, (2 - 2*x*t) / (1 - 2*x*t - t^2)",
-            (),
-            _pell_lucas,
-        ),
-    )
-}
 
 MODES = ("printed", "canonical")
 

@@ -9,8 +9,10 @@ Grammar (whitespace insignificant, multiplication always explicit):
 
 Exponentiation binds tighter than unary minus, so ``-x^2`` is ``-(x^2)``;
 this is what the canonical formatter relies on when it folds minus signs
-into term separators.  Identifiers start with a letter; ``t`` is the series
-variable and is only meaningful to :func:`split_in_t`.
+into term separators.  Parentheses and unary minus signs nest at most
+``MAX_NESTING`` levels deep, and exponents are at most ``MAX_EXPONENT``.
+Identifiers start with a letter; ``t`` is the series variable and is only
+meaningful to :func:`split_in_t`.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ from typing import Sequence
 from .errors import ExponentTooLarge, NegativeExponent, ParseError, TooManyDigits
 from .poly import RESERVED_VARIABLE, Monomial, Polynomial
 
-DEFAULT_MAX_EXPONENT = 1 << 16
+MAX_EXPONENT = 1 << 16
+MAX_NESTING = 100  # each '(' and each unary '-' opens one level
 
 _OPERATORS = "+-*^()"
 
@@ -65,10 +68,10 @@ def _tokenize(src: str) -> list[_Token]:
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], max_exponent: int):
+    def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.pos = 0
-        self.max_exponent = max_exponent
+        self.depth = 0
 
     @property
     def current(self) -> _Token:
@@ -88,6 +91,13 @@ class _Parser:
             raise ParseError(
                 f"integer literal of {len(tok.text)} digits is too long", tok.pos
             ) from None
+
+    def nest(self) -> None:
+        """Consume a '(' or a unary '-', which opens one nesting level."""
+        tok = self.advance()
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", tok.pos)
 
     def fail(self, expected: str) -> ParseError:
         tok = self.current
@@ -111,8 +121,10 @@ class _Parser:
 
     def parse_factor(self) -> Polynomial:
         if self.current.kind == "-":
-            self.advance()
-            return -self.parse_factor()
+            self.nest()
+            value = -self.parse_factor()
+            self.depth -= 1
+            return value
         value = self.parse_base()
         if self.current.kind == "^":
             self.advance()
@@ -122,9 +134,9 @@ class _Parser:
             if tok.kind != "int":
                 raise self.fail("a nonnegative integer exponent")
             exponent = self.integer()
-            if exponent > self.max_exponent:
+            if exponent > MAX_EXPONENT:
                 raise ExponentTooLarge(
-                    f"exponent {exponent} exceeds bound {self.max_exponent}",
+                    f"exponent {exponent} exceeds bound {MAX_EXPONENT}",
                     tok.pos,
                 )
             value = value**exponent
@@ -138,18 +150,19 @@ class _Parser:
             self.advance()
             return Polynomial._raw({((tok.text, 1),): 1})
         if tok.kind == "(":
-            self.advance()
+            self.nest()
             value = self.parse_expr()
             if self.current.kind != ")":
                 raise self.fail("')'")
             self.advance()
+            self.depth -= 1
             return value
         raise self.fail("an integer, identifier, or '('")
 
 
-def parse_poly(src: str, max_exponent: int = DEFAULT_MAX_EXPONENT) -> Polynomial:
+def parse_poly(src: str) -> Polynomial:
     """Parse an expression over the coefficient variables and t."""
-    parser = _Parser(_tokenize(src), max_exponent)
+    parser = _Parser(_tokenize(src))
     value = parser.parse_expr()
     if parser.current.kind != "end":
         raise parser.fail("'+', '-', '*', or end of input")

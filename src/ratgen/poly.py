@@ -33,16 +33,15 @@ Monomial = tuple[tuple[str, int], ...]
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
 
-def validate_variable_name(name: str, allow_reserved: bool = False) -> str:
+def validate_variable_name(name: str) -> str:
     """Check a variable name and return it.
 
     Names are nonempty, start with a letter, and contain only letters,
-    digits, and underscores.  The series variable is rejected unless
-    ``allow_reserved`` is set.
+    digits, and underscores.  The series variable is rejected.
     """
     if not isinstance(name, str) or not _NAME_RE.match(name):
         raise InvalidVariable(f"invalid variable name: {name!r}")
-    if not allow_reserved and name == RESERVED_VARIABLE:
+    if name == RESERVED_VARIABLE:
         raise InvalidVariable(
             f"{RESERVED_VARIABLE!r} is the reserved series variable"
         )
@@ -162,9 +161,6 @@ class Polynomial:
 
     def coefficient(self, mono: Monomial) -> int:
         return self._terms.get(mono, 0)
-
-    def constant_coefficient(self) -> int:
-        return self._terms.get((), 0)
 
     def items(self) -> Iterator[tuple[Monomial, int]]:
         return iter(self._terms.items())

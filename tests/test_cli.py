@@ -312,12 +312,15 @@ LONG = "9" * 5000  # past the interpreter's 4,300-digit int/str limit
      "integer literal of 5000 digits is too long (at position 0)"),
     (["expand", "--num", "1", "--den", "1 - x*t", "-N", "2", "--at", "x=" + LONG[:4000]],
      "the --at value at k=2 has more than"),
-], ids=["format", "parse", "at-value"])
+    (["expand", "--num", "1", "--den", "1 - x*t", "-N", "2", "--at", "x=" + LONG[:4400]],
+     "the --at value for 'x' has more than"),
+], ids=["format", "parse", "at-value", "at-input"])
 def test_integers_past_digit_limit_exit_2(capsys, argv, message):
     code, out, err = run(capsys, argv)
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1 and message in err
+    assert len(err.encode()) < 200
 
 
 def test_expand_high_power_reads_only_requested_orders(capsys):
@@ -326,6 +329,19 @@ def test_expand_high_power_reads_only_requested_orders(capsys):
     )
     assert code == 0
     assert out.splitlines()[-1] == "P_6 = 1389097234028090281583350000*x^6"  # C(100005, 6)
+
+
+def test_verify_high_power_folds_only_requested_orders(capsys):
+    # B^1000 has 2,001 orders; every oracle reads only D_0..D_5
+    code, out, err = run(capsys, [
+        "verify", "--num", "1", "--den", "1-x*t-y*t^2", "--pow", "1000", "-N", "5",
+        "--oracle", "all",
+    ])
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        f"PASS {name} (N=5)"
+        for name in ("geometric", "multinomial", "convolution", "residual")
+    ]
 
 
 def test_internal_error_exits_2_with_one_line(capsys, monkeypatch):

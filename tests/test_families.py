@@ -4,7 +4,7 @@ import pytest
 
 from ratgen.errors import BadParameter, UnknownFamily
 from ratgen.families import audit, build_parts, instantiate, list_families
-from ratgen.parser import parse_poly
+from ratgen.parser import parse_poly, split_in_t
 from ratgen.poly import Polynomial
 from ratgen.recurrence import expand_family
 
@@ -226,3 +226,46 @@ def test_build_parts_resolves_defaults():
     parts, resolved = build_parts("gen_two_var_fibonacci", {"b": 2})
     assert resolved == {"a": 1, "b": 2, "c": 1, "A": zero}
     assert len(parts.denominator) == 4  # t-degree b + c = 3
+
+
+# The source table, one row per (family, parameters): printed numerator,
+# canonical numerator, denominator, stated initial values (None when the
+# table states none) and the recursive formula's feedback.  Everything is
+# expression text, read through the parser, so it shares no code with the
+# catalog's builders.
+TABLE = [
+    ("catalan", {}, "1", "1", "1 - t + x*t^2", ["1", "1"], ["1", "-x"]),
+    ("fibonacci", {}, "t", "t", "1 - x*t - t^2", ["0", "1"], ["x", "1"]),
+    ("gen_catalan", {}, "1", "1", "1 - 2*t + x*t^2", ["1", "2"], ["2", "-x"]),
+    ("gen_fibonacci", {}, "t", "t", "1 - x*t - t^2", None, ["x", "1"]),
+    ("gen_lucas", {}, "2 - x*t", "2 - x*t", "1 - x*t - t^2", None, ["x", "1"]),
+    ("gen_two_var_fibonacci", {}, "1", "1", "1 - x*t - y*t^2", ["1", "x"], ["x", "y"]),
+    ("horadam_first", {}, "1", "t", "1 - x*t - t^2", ["0", "1"], ["x", "1"]),
+    ("horadam_second", {}, "1 + t^2", "1 + t^2", "1 - x*t - t^2", ["2", "x"],
+     ["x", "1"]),
+    ("jacobsthal", {}, "t", "t", "1 - t - x*t^2", ["0", "1", "1"], ["1", "x"]),
+    ("pell", {}, "1", "t", "1 - 2*x*t - t^2", ["0", "1"], ["2*x", "1"]),
+    ("pell_lucas", {}, "2*x + 2*t", "2 - 2*x*t", "1 - 2*x*t - t^2", ["2", "2*x"],
+     ["2*x", "1"]),
+    ("gen_fibonacci", {"m": 3}, "t", "t", "1 - x*t - t^3", None, ["x", "0", "1"]),
+    ("gen_catalan", {"m": 3, "A": "x + 2"}, "1 + (x + 2)*t", "1 + (x + 2)*t",
+     "1 - 3*t + x*t^3", ["1", "x + 5"], ["3", "0", "-x"]),
+    ("gen_two_var_fibonacci", {"a": 2, "b": 1, "c": 2, "A": "y"}, "1 + y*t",
+     "1 + y*t", "1 - x^2*t - y*t^3", ["1", "y + x^2"], ["x^2", "0", "y"]),
+]
+
+
+@pytest.mark.parametrize(
+    "name, params, printed, canonical, den, stated, feedback", TABLE,
+    ids=[f"{row[0]}{row[1] or ''}" for row in TABLE],
+)
+def test_catalog_matches_the_table(name, params, printed, canonical, den, stated, feedback):
+    params = {k: parse_poly(v) if isinstance(v, str) else v for k, v in params.items()}
+    parts, _ = build_parts(name, params)
+    for mode, num in (("printed", printed), ("canonical", canonical)):
+        gf = parts.gf(mode)
+        assert gf.numerator == split_in_t(parse_poly(num)), mode
+        assert gf.denominator == split_in_t(parse_poly(den)), mode
+    expected_stated = None if stated is None else tuple(map(parse_poly, stated))
+    assert parts.stated_initial_values == expected_stated
+    assert parts.expected_feedback == tuple(map(parse_poly, feedback))

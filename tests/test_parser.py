@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from helpers import random_poly
 from ratgen.errors import ExponentTooLarge, NegativeExponent, ParseError
-from ratgen.parser import format_poly, join_in_t, parse_poly, split_in_t
+from ratgen.parser import MAX_NESTING, format_poly, join_in_t, parse_poly, split_in_t
 from ratgen.poly import Polynomial
 
 x = Polynomial.variable("x")
@@ -39,9 +39,19 @@ def test_parse_negative_exponent():
 def test_parse_exponent_too_large():
     with pytest.raises(ExponentTooLarge):
         parse_poly("x^65537")
-    assert parse_poly("x^3", max_exponent=3) == x**3
+    assert parse_poly("x^65536") == x**65536
     with pytest.raises(ExponentTooLarge):
-        parse_poly("x^4", max_exponent=3)
+        parse_poly("x^65537")
+
+
+@pytest.mark.parametrize("opening", ["(", "-"])
+def test_deep_nesting_is_a_positioned_parse_error(opening):
+    src = opening * 3000 + "t" + (")" * 3000 if opening == "(" else "")
+    with pytest.raises(ParseError) as info:
+        parse_poly(src)
+    assert info.value.position == MAX_NESTING
+    depth = MAX_NESTING // 2  # one level each for '(' and '-'
+    assert parse_poly("-(" * depth + "x" + ")" * depth) == x
 
 
 def test_parse_precedence():

@@ -198,4 +198,5 @@ def test_variable_name_validation():
 def test_reserved_series_variable_rejected():
     with pytest.raises(InvalidVariable):
         Polynomial.variable("t")
-    validate_variable_name("t", allow_reserved=True)
+    with pytest.raises(InvalidVariable):
+        validate_variable_name("t")
