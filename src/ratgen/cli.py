@@ -26,7 +26,7 @@ from .recurrence import (
     identity_residual,
     render_recurrence,
 )
-from .series import SeriesPrefix, cauchy_mul, geometric_inverse, multinomial_inverse
+from .series import SeriesPrefix, geometric_inverse, multinomial_inverse
 
 MULTINOMIAL_ORDER_CAP = 12
 
@@ -61,14 +61,17 @@ def build_arg_parser() -> argparse.ArgumentParser:
         )
 
     p_expand = sub.add_parser("expand", help="expand a generating function")
+    p_expand.set_defaults(run=_cmd_expand)
     add_gf_flags(p_expand)
     p_expand.add_argument("-N", type=int, required=True, help="truncation order")
     add_output_flags(p_expand)
 
     p_rec = sub.add_parser("recurrence", help="derive the recurrence")
+    p_rec.set_defaults(run=_cmd_recurrence)
     add_gf_flags(p_rec)
 
     p_verify = sub.add_parser("verify", help="cross-check against oracles")
+    p_verify.set_defaults(run=_cmd_verify)
     add_gf_flags(p_verify)
     p_verify.add_argument("-N", type=int, required=True, help="truncation order")
     p_verify.add_argument(
@@ -84,7 +87,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p_family = sub.add_parser("family", help="work with the named catalog")
     fam_sub = p_family.add_subparsers(dest="family_command", required=True)
 
-    fam_sub.add_parser("list", help="list the catalog")
+    p_flist = fam_sub.add_parser("list", help="list the catalog")
+    p_flist.set_defaults(run=_cmd_family_list)
 
     def add_family_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("name", help="family name (see `family list`)")
@@ -98,6 +102,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
         )
 
     p_fexpand = fam_sub.add_parser("expand", help="expand a named family")
+    p_fexpand.set_defaults(run=_cmd_family_expand)
     add_family_flags(p_fexpand)
     p_fexpand.add_argument("-N", type=int, required=True, help="truncation order")
     add_output_flags(p_fexpand)
@@ -105,6 +110,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p_faudit = fam_sub.add_parser(
         "audit", help="compare the expansion against the table's stated values"
     )
+    p_faudit.set_defaults(run=_cmd_family_audit)
     add_family_flags(p_faudit)
     p_faudit.add_argument(
         "-N", type=int, default=4, help="orders to audit (default 4)"
@@ -221,20 +227,18 @@ def _at_echo(at: dict[str, int] | None) -> dict[str, str] | None:
     return {var: str(value) for var, value in sorted(at.items())}
 
 
-def _cmd_expand(args: argparse.Namespace) -> int:
-    gf = _gf_from_args(args)
+def _expand(args: argparse.Namespace, gf: RationalGF, query: dict[str, object]) -> int:
+    """P_0..P_N of gf, emitted with the query echo; both expand commands end here."""
     at = _parse_at(args.at)
     expansion = expand_family(gf, args.N)
-    query = {
-        "command": "expand",
-        "num": args.num,
-        "den": args.den,
-        "pow": args.pow,
-        "N": args.N,
-        "at": _at_echo(at),
-    }
-    _emit(_records(expansion, at), args.format, query)
+    _emit(_records(expansion, at), args.format,
+          {**query, "N": args.N, "at": _at_echo(at)})
     return 0
+
+
+def _cmd_expand(args: argparse.Namespace) -> int:
+    query = {"command": "expand", "num": args.num, "den": args.den, "pow": args.pow}
+    return _expand(args, _gf_from_args(args), query)
 
 
 def _cmd_recurrence(args: argparse.Namespace) -> int:
@@ -267,8 +271,6 @@ def _report(name: str, engine: SeriesPrefix, oracle: SeriesPrefix, note: str = "
 def _cmd_verify(args: argparse.Namespace) -> int:
     gf = _gf_from_args(args)
     N = args.N
-    if N < 0:
-        raise RatGenError(f"order must be nonnegative, got {N}")
     selected = args.oracle
     # B^h once, for the engine and every oracle; each reads only D_0..D_N
     reduced = RationalGF(gf.numerator, gf.reduced_denominator(N))
@@ -277,8 +279,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
     ok = True
     if selected in ("geometric", "all"):
-        num_series = SeriesPrefix.from_polynomials(gf.numerator, N)
-        oracle = cauchy_mul(num_series, geometric_inverse(D, N))
+        oracle = convolve_numerator(gf.numerator, geometric_inverse(D, N))
         ok &= _report("geometric", engine, oracle, f"N={N}")
     if selected in ("multinomial", "all"):
         n_m = N
@@ -321,18 +322,13 @@ def _cmd_family_expand(args: argparse.Namespace) -> int:
     params = _parse_family_params(args.param)
     parts, resolved = families_mod.build_parts(args.name, params)
     gf = parts.gf(args.mode)
-    at = _parse_at(args.at)
-    expansion = expand_family(gf, args.N)
     query = {
         "command": "family expand",
         "family": args.name,
         "mode": args.mode,
         "params": _family_query_params(resolved),
-        "N": args.N,
-        "at": _at_echo(at),
     }
-    _emit(_records(expansion, at), args.format, query)
-    return 0
+    return _expand(args, gf, query)
 
 
 def _cmd_family_audit(args: argparse.Namespace) -> int:
@@ -387,19 +383,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_arg_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "expand":
-            return _cmd_expand(args)
-        if args.command == "recurrence":
-            return _cmd_recurrence(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "family":
-            if args.family_command == "list":
-                return _cmd_family_list(args)
-            if args.family_command == "expand":
-                return _cmd_family_expand(args)
-            return _cmd_family_audit(args)
-        raise AssertionError(f"unhandled command {args.command!r}")
+        return args.run(args)
     except RatGenError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -219,16 +219,7 @@ class Polynomial:
     def __sub__(self, other: Polynomial) -> Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
-        if not other._terms:
-            return self
-        out = dict(self._terms)
-        for mono, coeff in other._terms.items():
-            new = out.get(mono, 0) - coeff
-            if new:
-                out[mono] = new
-            else:
-                out.pop(mono, None)
-        return Polynomial._raw(out)
+        return self + -other
 
     def __mul__(self, other: Polynomial) -> Polynomial:
         if not isinstance(other, Polynomial):

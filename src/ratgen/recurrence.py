@@ -100,13 +100,12 @@ class Recurrence:
     holds A_0..A_m, active only while k <= m.
     """
 
-    order: int
     feedback: tuple[Polynomial, ...]
     forcing: tuple[Polynomial, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.feedback) != self.order:
-            raise ValueError("feedback must have exactly `order` entries")
+    @property
+    def order(self) -> int:
+        return len(self.feedback)
 
     @property
     def forcing_cutoff(self) -> int:
@@ -179,16 +178,13 @@ def raise_denominator(
 
 def expand_family(gf: RationalGF, N: int) -> SeriesPrefix:
     """P_0..P_N of the family generated by gf, by the derived recursion."""
-    if N < 0:
-        raise NegativeOrder(f"order must be nonnegative, got {N}")
     return derive_recurrence(gf, N).expand(N)
 
 
 def expand_inverse(B: Sequence[Polynomial], N: int) -> SeriesPrefix:
-    """Q_0..Q_N of 1/B: Q_0 = 1, Q_k = -sum B_j Q_{k-j}."""
+    """Q_0..Q_N of 1/B, the family of numerator 1: Q_k = -sum B_j Q_{k-j}."""
     _check_denominator(B)
-    feedback = tuple(-b for b in B[1:])
-    return Recurrence(len(feedback), feedback, (Polynomial.one(),)).expand(N)
+    return expand_family(RationalGF((Polynomial.one(),), B), N)
 
 
 def convolve_numerator(A: Sequence[Polynomial], Q: SeriesPrefix) -> SeriesPrefix:
@@ -208,8 +204,6 @@ def identity_residual(gf: RationalGF, N: int) -> SeriesPrefix:
         raise PowerNotOne(
             "identity requires power 1; reduce the denominator first"
         )
-    if N < 0:
-        raise NegativeOrder(f"order must be nonnegative, got {N}")
     A = gf.numerator
     B = gf.denominator
     m = gf.m
@@ -229,10 +223,10 @@ def derive_recurrence(gf: RationalGF, N: int | None = None) -> Recurrence:
     reads feedback_j only for j <= k <= N.
     """
     feedback = tuple(-d for d in gf.reduced_denominator(N)[1:])
-    return Recurrence(len(feedback), feedback, gf.numerator)
+    return Recurrence(feedback, gf.numerator)
 
 
-def render_recurrence(rec: Recurrence, symbol: str = "P") -> str:
+def render_recurrence(rec: Recurrence) -> str:
     """Table-style one-liner, e.g. ``P_k = x*P_{k-1} + P_{k-2} (k >= 2); P_0 = 0; P_1 = 1``."""
     from .parser import format_poly
 
@@ -241,7 +235,7 @@ def render_recurrence(rec: Recurrence, symbol: str = "P") -> str:
     for j, coeff in enumerate(rec.feedback, start=1):
         if coeff.is_zero():
             continue
-        ref = f"{symbol}_{{k-{j}}}"
+        ref = f"P_{{k-{j}}}"
         terms = list(coeff.items())
         if len(terms) == 1:
             mono, c = terms[0]
@@ -257,8 +251,8 @@ def render_recurrence(rec: Recurrence, symbol: str = "P") -> str:
         rhs = ("-" if first_sign == "-" else "") + first_body
         for sign, body in pieces[1:]:
             rhs += f" {sign} {body}"
-    line = f"{symbol}_k = {rhs} (k >= {start})"
+    line = f"P_k = {rhs} (k >= {start})"
     initial = rec.expand(start - 1)  # start >= 1 since forcing is nonempty
     for k in range(start):
-        line += f"; {symbol}_{k} = {format_poly(initial[k])}"
+        line += f"; P_{k} = {format_poly(initial[k])}"
     return line

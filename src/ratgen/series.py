@@ -14,19 +14,21 @@ other, so neither is allowed to use the recurrence or :func:`convolve`.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import BadConstantTerm, NegativeOrder, OrderMismatch
 from .poly import RESERVED_VARIABLE, Monomial, Polynomial, add_product_into
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class SeriesPrefix:
     """Coefficients of t^0..t^N of a formal power series."""
 
-    __slots__ = ("_coeffs",)
+    coeffs: tuple[Polynomial, ...]
 
-    def __init__(self, coeffs: Sequence[Polynomial]):
-        coeffs = tuple(coeffs)
+    def __post_init__(self) -> None:
+        coeffs = tuple(self.coeffs)
         if not coeffs:
             raise NegativeOrder("a series prefix holds at least order 0")
         for p in coeffs:
@@ -34,40 +36,25 @@ class SeriesPrefix:
                 raise ValueError(
                     "series coefficients must not mention the series variable"
                 )
-        object.__setattr__(self, "_coeffs", coeffs)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("SeriesPrefix is immutable")
-
-    @property
-    def coeffs(self) -> tuple[Polynomial, ...]:
-        return self._coeffs
+        object.__setattr__(self, "coeffs", coeffs)
 
     @property
     def order(self) -> int:
-        return len(self._coeffs) - 1
+        return len(self.coeffs) - 1
 
     def __getitem__(self, k: int) -> Polynomial:
-        return self._coeffs[k]
+        return self.coeffs[k]
 
     def __iter__(self):
-        return iter(self._coeffs)
+        return iter(self.coeffs)
 
     def __len__(self) -> int:
-        return len(self._coeffs)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, SeriesPrefix):
-            return self._coeffs == other._coeffs
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._coeffs)
+        return len(self.coeffs)
 
     def __repr__(self) -> str:
         from .parser import format_poly
 
-        inner = ", ".join(format_poly(p) for p in self._coeffs)
+        inner = ", ".join(format_poly(p) for p in self.coeffs)
         return f"SeriesPrefix([{inner}])"
 
     def truncate(self, order: int) -> SeriesPrefix:
@@ -78,7 +65,7 @@ class SeriesPrefix:
             raise OrderMismatch(
                 f"cannot extend order {self.order} prefix to {order}"
             )
-        return SeriesPrefix(self._coeffs[: order + 1])
+        return SeriesPrefix(self.coeffs[: order + 1])
 
     @classmethod
     def identity(cls, order: int) -> SeriesPrefix:

@@ -134,6 +134,13 @@ def test_expand_rejects_bad_power(capsys):
     assert code == 2
 
 
+def test_expand_numerator_starting_with_minus(capsys):
+    # argparse would read `--num -t` as two flags; the `=` form keeps it a value
+    code, out, _ = run(capsys, ["expand", "--num=-t", "--den", "1 - t", "-N", "2"])
+    assert code == 0
+    assert out == "P_0 = 0\nP_1 = -1\nP_2 = -1\n"
+
+
 def test_expand_output_is_deterministic(capsys):
     argv = ["expand", "--num", "1 + t^2", "--den", "1 - x*t - y*t^2", "--pow", "2",
             "-N", "8", "--format", "json", "--at", "x=2,y=-1"]
@@ -196,6 +203,11 @@ def test_verify_multinomial_refuses_large_order(capsys):
     code, _, err = run(capsys, ["verify", *FIB, "-N", "13", "--oracle", "multinomial"])
     assert code == 2
     assert "--force" in err
+
+
+def test_verify_rejects_negative_order(capsys):
+    code, out, err = run(capsys, ["verify", *FIB, "-N", "-1", "--oracle", "all"])
+    assert (code, out, err) == (2, "", "error: order must be nonnegative, got -1\n")
 
 
 def test_verify_multinomial_forced(capsys):

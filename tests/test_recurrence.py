@@ -11,6 +11,7 @@ from ratgen.parser import join_in_t, split_in_t
 from ratgen.poly import Polynomial
 from ratgen.recurrence import (
     RationalGF,
+    Recurrence,
     convolve_numerator,
     derive_recurrence,
     expand_family,
@@ -169,6 +170,32 @@ def test_inverse_sequence_is_expansion_with_unit_numerator():
         assert expand_inverse(B, N) == expand_family(
             RationalGF((one,), B), N
         )
+
+
+def test_inverse_sequence_rejects_bad_input():
+    from ratgen.parser import parse_poly
+
+    for B in ([], [c(2)]):
+        with pytest.raises(BadConstantTerm):
+            expand_inverse(B, 3)
+    with pytest.raises(NegativeOrder, match="^order must be nonnegative, got -1$"):
+        expand_inverse(FIB_DEN, -1)
+    with pytest.raises(ValueError, match="^denominator coefficients must not"):
+        expand_inverse([one, parse_poly("t")], 3)
+
+
+def test_negative_order_is_raised_once_by_the_callee():
+    message = "^order must be nonnegative, got -1$"
+    with pytest.raises(NegativeOrder, match=message):
+        expand_family(RationalGF(FIB_NUM, FIB_DEN, 2), -1)
+    with pytest.raises(NegativeOrder, match=message):
+        identity_residual(fib_gf(), -1)
+
+
+def test_recurrence_order_is_the_feedback_length():
+    rec = Recurrence((x, one), (zero, one))
+    assert rec.order == 2
+    assert rec.expand(3) == expand_family(fib_gf(), 3)
 
 
 def test_convolve_with_unit_numerator_is_identity():
