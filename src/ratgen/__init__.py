@@ -9,6 +9,7 @@ expansion against independent brute-force series constructions.
 from .errors import (
     BadConstantTerm,
     BadParameter,
+    DegreeTooLarge,
     ExponentTooLarge,
     InvalidVariable,
     MissingVariable,
@@ -42,6 +43,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BadConstantTerm",
     "BadParameter",
+    "DegreeTooLarge",
     "ExponentTooLarge",
     "InvalidVariable",
     "MissingVariable",

@@ -276,6 +276,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     reduced = RationalGF(gf.numerator, gf.reduced_denominator(N))
     D = reduced.denominator
     engine = expand_family(reduced, N)
+    inverse = None  # Q, built once for the convolution and residual oracles
 
     ok = True
     if selected in ("geometric", "all"):
@@ -296,10 +297,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         rhs = geometric_inverse(D, n_m)
         ok &= _report("multinomial", lhs, rhs, note)
     if selected in ("convolution", "all"):
-        oracle = convolve_numerator(gf.numerator, expand_inverse(D, N))
+        inverse = expand_inverse(D, N)
+        oracle = convolve_numerator(gf.numerator, inverse)
         ok &= _report("convolution", engine, oracle, f"N={N}")
     if selected in ("residual", "all"):
-        residual = identity_residual(reduced, N)
+        residual = identity_residual(reduced, N, engine, inverse)
         zero = SeriesPrefix.from_polynomials((), N)
         ok &= _report("residual", residual, zero, f"N={N}")
     return 0 if ok else 1

@@ -44,6 +44,10 @@ class TooManyDigits(RatGenError):
         super().__init__(f"{what} has more than {limit} decimal digits")
 
 
+class DegreeTooLarge(RatGenError):
+    """A result whose total degree may pass ``poly.MAX_DEGREE``."""
+
+
 class UnknownFamily(RatGenError):
     """A family name that is not in the catalog."""
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .errors import ExponentTooLarge, NegativeExponent, ParseError, TooManyDigits
-from .poly import RESERVED_VARIABLE, Monomial, Polynomial
+from .poly import RESERVED_VARIABLE, Polynomial
 
 MAX_EXPONENT = 1 << 16
 MAX_NESTING = 100  # each '(' and each unary '-' opens one level
@@ -148,7 +148,7 @@ class _Parser:
             return Polynomial.constant(self.integer())
         if tok.kind == "name":
             self.advance()
-            return Polynomial._raw({((tok.text, 1),): 1})
+            return Polynomial.symbol(tok.text)
         if tok.kind == "(":
             self.nest()
             value = self.parse_expr()
@@ -175,31 +175,12 @@ def split_in_t(p: Polynomial) -> tuple[Polynomial, ...]:
     Returns A_0..A_m with m the degree in t; no returned entry mentions t.
     The zero polynomial yields the single-entry sequence (0,).
     """
-    buckets: dict[int, dict[Monomial, int]] = {}
-    for mono, coeff in p.items():
-        t_exp = 0
-        rest = mono
-        for idx, (var, e) in enumerate(mono):
-            if var == RESERVED_VARIABLE:
-                t_exp = e
-                rest = mono[:idx] + mono[idx + 1 :]
-                break
-        buckets.setdefault(t_exp, {})[rest] = coeff
-    if not buckets:
-        return (Polynomial.zero(),)
-    top = max(buckets)
-    return tuple(Polynomial(buckets.get(k, {})) for k in range(top + 1))
+    return p.split(RESERVED_VARIABLE)
 
 
 def join_in_t(seq: Sequence[Polynomial]) -> Polynomial:
     """Recombine t-coefficient polynomials as sum A_j * t^j."""
-    terms: dict[Monomial, int] = {}
-    for j, p in enumerate(seq):
-        for mono, coeff in p.items():
-            if j > 0:
-                mono = tuple(sorted(mono + ((RESERVED_VARIABLE, j),)))
-            terms[mono] = terms.get(mono, 0) + coeff
-    return Polynomial(terms)
+    return Polynomial.join(RESERVED_VARIABLE, seq)
 
 
 def format_poly(p: Polynomial) -> str:

@@ -1,36 +1,63 @@
 """Sparse multivariate polynomials with arbitrary-precision integer coefficients.
 
-A monomial is a tuple of ``(variable, exponent)`` pairs, sorted by variable
-name, with every exponent positive; the empty tuple is the constant monomial.
-A polynomial maps monomials to nonzero ``int`` coefficients:
+At the boundary a monomial is a tuple of ``(variable, exponent)`` pairs,
+sorted by variable name, with every exponent positive; the empty tuple is
+the constant monomial.  A polynomial maps monomials to nonzero ``int``
+coefficients:
 
     x^2*y + 3   ->   {(("x", 2), ("y", 1)): 1, (): 3}
 
-The zero polynomial is the empty map.  Normalization (no zero coefficients,
-sorted exponent pairs) is an invariant of every constructed value, so
+Inside this module each monomial is packed into one ``int`` (Monagan and
+Pearce, "Polynomial division using dynamic arrays, heaps, and packed
+exponent vectors", CASC 2007).  The low ``_WIDTH`` bits hold the total
+degree, and every variable owns the ``_WIDTH``-bit field above it that an
+interning table assigns in the order names are first seen.  The table
+lives for the whole process and only grows.  Because no total degree
+exceeds ``MAX_DEGREE``, no field ever carries into the next, so the
+product of two monomials is the sum of their ints.  Every operation that
+multiplies checks its degree bound once, before its loop, and raises
+:class:`DegreeTooLarge` past it; nothing wraps silently.
+
+The zero polynomial is the empty map.  Normalization (no zero coefficients)
+is an invariant of every constructed value and packing is canonical, so
 structural equality is polynomial equality.  Coefficients are plain Python
 integers and never overflow.
 
 The series variable ``t`` is reserved: :meth:`Polynomial.variable` rejects it,
 keeping coefficient polynomials t-free.  The expression parser builds
-t-bearing polynomials through the unchecked internal path and strips ``t``
-before anything downstream sees them.
+t-bearing polynomials through :meth:`Polynomial.symbol` and strips ``t``
+with :meth:`Polynomial.split` before anything downstream sees them.
 """
 
 from __future__ import annotations
 
 import re
-from functools import lru_cache
-from typing import Iterator, Mapping
+import threading
+from functools import reduce
+from operator import or_
+from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import InvalidVariable, MissingVariable
+from .errors import DegreeTooLarge, InvalidVariable, MissingVariable
 
 # Series variable; only the parser front end may mention it inside a Polynomial.
 RESERVED_VARIABLE = "t"
 
 Monomial = tuple[tuple[str, int], ...]
 
+# A term map under construction: filled by add_product_into, then handed
+# to Polynomial.from_raw.  Its keys are packed monomials.
+RawTerms = dict[int, int]
+
+_WIDTH = 32
+_MASK = (1 << _WIDTH) - 1
+MAX_DEGREE = _MASK  # largest total degree of any monomial
+
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
+
+# Interning table: variable name -> bit offset of its exponent field.
+_SHIFTS: dict[str, int] = {}
+_NAMES: list[str] = []  # _NAMES[i] owns the field at _WIDTH * (i + 1)
+_INTERN_LOCK = threading.Lock()
 
 
 def validate_variable_name(name: str) -> str:
@@ -48,20 +75,56 @@ def validate_variable_name(name: str) -> str:
     return name
 
 
-@lru_cache(maxsize=65536)
-def _mul_monomials(m1: Monomial, m2: Monomial) -> Monomial:
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    exps = dict(m1)
-    for var, e in m2:
-        exps[var] = exps.get(var, 0) + e
-    return tuple(sorted(exps.items()))
+def check_degree(degree: int) -> None:
+    """Raise DegreeTooLarge if a result may reach a total degree past MAX_DEGREE."""
+    if degree > MAX_DEGREE:
+        raise DegreeTooLarge(
+            f"total degree up to {degree} exceeds the bound {MAX_DEGREE}"
+        )
 
 
-def _monomial_degree(m: Monomial) -> int:
-    return sum(e for _, e in m)
+def max_degree(polys: Iterable[Polynomial]) -> int:
+    """The largest total degree in a sequence of polynomials; 0 if empty."""
+    return max((p.total_degree() for p in polys), default=0)
+
+
+def _shift(name: str) -> int:
+    shift = _SHIFTS.get(name)
+    if shift is None:
+        with _INTERN_LOCK:
+            shift = _SHIFTS.get(name)
+            if shift is None:
+                _NAMES.append(name)
+                shift = _SHIFTS[name] = _WIDTH * len(_NAMES)
+    return shift
+
+
+# Common names go first, in reverse alphabetical order, so that the fields
+# of w, x, y and z descend alphabetically and sorted_terms takes its cheap key.
+for _name in ("z", "y", "x", "w"):
+    _shift(_name)
+
+
+def _unit(name: str) -> int:
+    """The packed monomial of ``name`` to the first power."""
+    return (1 << _shift(name)) + 1
+
+
+def _pack(mono: Monomial) -> int:
+    packed = degree = 0
+    for name, e in mono:
+        if e < 0:
+            raise ValueError(f"negative exponent for {name!r}")
+        packed += e << _shift(name)
+        degree += e
+    check_degree(degree)
+    return packed + degree
+
+
+def _unpack(packed: int, fields: list[tuple[str, int]]) -> Monomial:
+    return tuple(
+        [(name, e) for name, shift in fields if (e := (packed >> shift) & _MASK)]
+    )
 
 
 class Polynomial:
@@ -69,21 +132,21 @@ class Polynomial:
 
     __slots__ = ("_terms", "_vars", "_hash")
 
-    _terms: dict[Monomial, int]
+    _terms: RawTerms
 
     def __init__(self, terms: Mapping[Monomial, int] | None = None):
-        normalized: dict[Monomial, int] = {}
+        packed: RawTerms = {}
         if terms:
             for mono, coeff in terms.items():
-                if coeff:
-                    normalized[mono] = coeff
-        object.__setattr__(self, "_terms", normalized)
+                key = _pack(mono)
+                packed[key] = packed.get(key, 0) + coeff
+        object.__setattr__(self, "_terms", {m: c for m, c in packed.items() if c})
         object.__setattr__(self, "_vars", None)
         object.__setattr__(self, "_hash", None)
 
     @classmethod
-    def _raw(cls, terms: dict[Monomial, int]) -> Polynomial:
-        # Internal fast path: terms must already be normalized.
+    def _raw(cls, terms: RawTerms) -> Polynomial:
+        # Internal fast path: terms must already be packed and normalized.
         self = cls.__new__(cls)
         object.__setattr__(self, "_terms", terms)
         object.__setattr__(self, "_vars", None)
@@ -107,27 +170,50 @@ class Polynomial:
     def constant(cls, value: int) -> Polynomial:
         if value == 0:
             return _ZERO
-        return cls._raw({(): int(value)})
+        return cls._raw({0: int(value)})
 
     @classmethod
     def variable(cls, name: str) -> Polynomial:
         """The polynomial consisting of one coefficient variable."""
-        validate_variable_name(name)
-        return cls._raw({((name, 1),): 1})
+        return cls.symbol(validate_variable_name(name))
+
+    @classmethod
+    def symbol(cls, name: str) -> Polynomial:
+        """One variable, which may be the series variable; for the parser."""
+        return cls._raw({_unit(name): 1})
 
     @classmethod
     def term(cls, coeff: int, exponents: Mapping[str, int]) -> Polynomial:
         """A single term ``coeff * prod(var^e)``; exponents must be >= 0."""
         if coeff == 0:
             return _ZERO
-        pairs = []
-        for var, e in exponents.items():
+        for var in exponents:
             validate_variable_name(var)
-            if e < 0:
-                raise ValueError(f"negative exponent for {var!r}")
-            if e > 0:
-                pairs.append((var, e))
-        return cls._raw({tuple(sorted(pairs)): int(coeff)})
+        return cls._raw({_pack(tuple(exponents.items())): int(coeff)})
+
+    @classmethod
+    def from_raw(cls, terms: RawTerms) -> Polynomial:
+        """The polynomial of a term map filled by :func:`add_product_into`.
+
+        Takes the map over rather than copying it.
+        """
+        if 0 in terms.values():
+            terms = {m: c for m, c in terms.items() if c}
+        return cls._raw(terms)
+
+    @classmethod
+    def join(cls, name: str, seq: Sequence[Polynomial]) -> Polynomial:
+        """sum_j seq[j] * name^j; the inverse of :meth:`split`."""
+        unit = _unit(name)
+        check_degree(max(
+            (p.total_degree() + j for j, p in enumerate(seq) if p), default=0
+        ))
+        out: RawTerms = {}
+        for j, p in enumerate(seq):
+            step = j * unit
+            for m, c in p._terms.items():
+                out[m + step] = out.get(m + step, 0) + c
+        return cls.from_raw(out)
 
     # -- queries -----------------------------------------------------------
 
@@ -135,7 +221,7 @@ class Polynomial:
         return not self._terms
 
     def is_one(self) -> bool:
-        return self._terms == {(): 1}
+        return self._terms == {0: 1}
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -145,39 +231,82 @@ class Polynomial:
 
     def total_degree(self) -> int:
         """Maximum term degree; 0 for the zero polynomial."""
-        if not self._terms:
-            return 0
-        return max(_monomial_degree(m) for m in self._terms)
+        return max(map(_MASK.__and__, self._terms), default=0)
 
     def variables(self) -> frozenset[str]:
         cached = self._vars
         if cached is None:
-            cached = frozenset(v for m in self._terms for v, _ in m)
+            support = reduce(or_, self._terms, 0) >> _WIDTH
+            names = []
+            i = 0
+            while support:
+                if support & _MASK:
+                    names.append(_NAMES[i])
+                support >>= _WIDTH
+                i += 1
+            cached = frozenset(names)
             object.__setattr__(self, "_vars", cached)
         return cached
 
     def mentions(self, name: str) -> bool:
         return name in self.variables()
 
+    def _fields(self) -> list[tuple[str, int]]:
+        """(name, field offset) of this polynomial's variables, alphabetical."""
+        return [(name, _SHIFTS[name]) for name in sorted(self.variables())]
+
     def coefficient(self, mono: Monomial) -> int:
-        return self._terms.get(mono, 0)
+        if any(name not in _SHIFTS for name, e in mono if e):
+            return 0
+        return self._terms.get(_pack(mono), 0)
 
     def items(self) -> Iterator[tuple[Monomial, int]]:
-        return iter(self._terms.items())
+        fields = self._fields()
+        return ((_unpack(m, fields), c) for m, c in self._terms.items())
 
     def sorted_terms(self) -> list[tuple[Monomial, int]]:
         """Terms in descending graded-lex order, variables alphabetical."""
-        vars_order = sorted(self.variables())
-        index = {v: i for i, v in enumerate(vars_order)}
+        terms = self._terms
+        fields = self._fields()
+        if len(fields) <= 1:
+            # one variable: its exponent is the degree, so int order is degree order
+            order = sorted(terms, reverse=True)
+            if fields:
+                name = fields[0][0]
+                return [(((name, m & _MASK),) if m else (), terms[m]) for m in order]
+            return [((), terms[m]) for m in order]
+        shifts = [shift for _, shift in fields]
+        if shifts == sorted(shifts, reverse=True):
+            # alphabetical order already runs from the high field down:
+            # the degree, then the packed int itself, is graded-lex
+            top = max(terms).bit_length()
+            order = sorted(terms, key=lambda m: (m & _MASK) << top | m, reverse=True)
+        else:
+            def key(m: int) -> int:  # repacked with the fields in alphabetical order
+                k = m & _MASK
+                for shift in shifts:
+                    k = k << _WIDTH | (m >> shift) & _MASK
+                return k
 
-        def key(item: tuple[Monomial, int]):
-            mono = item[0]
-            vec = [0] * len(vars_order)
-            for var, e in mono:
-                vec[index[var]] = e
-            return (_monomial_degree(mono), vec)
+            order = sorted(terms, key=key, reverse=True)
+        return [(_unpack(m, fields), terms[m]) for m in order]
 
-        return sorted(self._terms.items(), key=key, reverse=True)
+    def split(self, name: str) -> tuple[Polynomial, ...]:
+        """C_0..C_d with self = sum_j C_j * name^j; no C_j mentions name.
+
+        d is the degree in name; the zero polynomial gives (0,).
+        """
+        if not self.mentions(name):
+            return (self,)
+        shift = _SHIFTS[name]
+        unit = (1 << shift) + 1
+        buckets: dict[int, RawTerms] = {}
+        for m, c in self._terms.items():
+            e = (m >> shift) & _MASK
+            buckets.setdefault(e, {})[m - e * unit] = c
+        return tuple(
+            Polynomial._raw(buckets.get(j, {})) for j in range(max(buckets) + 1)
+        )
 
     # -- ring operations ----------------------------------------------------
 
@@ -185,7 +314,7 @@ class Polynomial:
         if isinstance(other, Polynomial):
             return self._terms == other._terms
         if isinstance(other, int):
-            return self._terms == ({(): other} if other else {})
+            return self._terms == ({0: other} if other else {})
         return NotImplemented
 
     def __hash__(self) -> int:
@@ -212,9 +341,7 @@ class Polynomial:
         return Polynomial._raw(out)
 
     def __neg__(self) -> Polynomial:
-        if not self._terms:
-            return self
-        return Polynomial._raw({m: -c for m, c in self._terms.items()})
+        return self.scale(-1)
 
     def __sub__(self, other: Polynomial) -> Polynomial:
         if not isinstance(other, Polynomial):
@@ -224,9 +351,12 @@ class Polynomial:
     def __mul__(self, other: Polynomial) -> Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
-        out: dict[Monomial, int] = {}
+        if not self._terms or not other._terms:
+            return _ZERO
+        check_degree(self.total_degree() + other.total_degree())
+        out: RawTerms = {}
         add_product_into(out, self, other)
-        return Polynomial._raw(out)
+        return Polynomial.from_raw(out)
 
     def __pow__(self, exponent: int) -> Polynomial:
         if not isinstance(exponent, int):
@@ -244,6 +374,22 @@ class Polynomial:
                 base = base * base
         return result
 
+    def scale(self, factor: int) -> Polynomial:
+        """factor * self for an integer factor."""
+        if not factor or not self._terms:
+            return _ZERO
+        return Polynomial._raw({m: factor * c for m, c in self._terms.items()})
+
+    def exact_div(self, divisor: int) -> Polynomial:
+        """self / divisor; ArithmeticError if a coefficient leaves a remainder."""
+        out: RawTerms = {}
+        for m, c in self._terms.items():
+            q, r = divmod(c, divisor)
+            if r:
+                raise ArithmeticError(f"coefficient {c} is not divisible by {divisor}")
+            out[m] = q
+        return Polynomial._raw(out)
+
     def evaluate(self, assignment: Mapping[str, int]) -> int:
         """Exact integer value under a total assignment of the variables."""
         missing = self.variables() - assignment.keys()
@@ -251,11 +397,13 @@ class Polynomial:
             raise MissingVariable(
                 "no value assigned for: " + ", ".join(sorted(missing))
             )
+        fields = [(shift, assignment[name]) for name, shift in self._fields()]
         total = 0
-        for mono, coeff in self._terms.items():
-            term = coeff
-            for var, e in mono:
-                term *= assignment[var] ** e
+        for m, term in self._terms.items():
+            for shift, value in fields:
+                e = (m >> shift) & _MASK
+                if e:
+                    term *= value**e
             total += term
         return total
 
@@ -266,27 +414,23 @@ class Polynomial:
 
 
 _ZERO = Polynomial._raw({})
-_ONE = Polynomial._raw({(): 1})
+_ONE = Polynomial._raw({0: 1})
 
 
-def add_product_into(
-    acc: dict[Monomial, int], p: Polynomial, q: Polynomial
-) -> None:
+def add_product_into(acc: RawTerms, p: Polynomial, q: Polynomial) -> None:
     """Accumulate ``p * q`` into a raw term map.
 
     Shared by series convolution and the recurrence loop so long sums of
     products build one dictionary instead of a chain of intermediates.
+    The caller checks the degree bound of everything it accumulates.
     """
     pt, qt = p._terms, q._terms
     if not pt or not qt:
         return
     if len(pt) > len(qt):  # iterate the smaller operand on the outside
         pt, qt = qt, pt
+    get = acc.get
     for m1, c1 in pt.items():
         for m2, c2 in qt.items():
-            mono = _mul_monomials(m1, m2)
-            new = acc.get(mono, 0) + c1 * c2
-            if new:
-                acc[mono] = new
-            else:
-                acc.pop(mono, None)
+            m = m1 + m2
+            acc[m] = get(m, 0) + c1 * c2

@@ -19,7 +19,14 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import NegativeOrder, PowerNotOne
-from .poly import RESERVED_VARIABLE, Monomial, Polynomial, add_product_into
+from .poly import (
+    RESERVED_VARIABLE,
+    Polynomial,
+    RawTerms,
+    add_product_into,
+    check_degree,
+    max_degree,
+)
 from .series import SeriesPrefix, _check_denominator, convolve
 
 _ZERO = Polynomial.zero()
@@ -124,15 +131,17 @@ class Recurrence:
         if N < 0:
             raise NegativeOrder(f"order must be nonnegative, got {N}")
         order, feedback, forcing = self.order, self.feedback, self.forcing
+        check_degree(max_degree(forcing) + N * max_degree(feedback))
         m = len(forcing) - 1
+        one = Polynomial.one()
         out: list[Polynomial] = [forcing[0]]
         for k in range(1, N + 1):
-            acc: dict[Monomial, int] = {}
+            acc: RawTerms = {}
             if k <= m:
-                acc.update(forcing[k].items())
+                add_product_into(acc, forcing[k], one)
             for j in range(1, min(order, k) + 1):
                 add_product_into(acc, feedback[j - 1], out[k - j])
-            out.append(Polynomial(acc))
+            out.append(Polynomial.from_raw(acc))
         return SeriesPrefix(out)
 
 
@@ -156,23 +165,13 @@ def raise_denominator(
     B = _as_trimmed(B, "denominator")
     n = len(B) - 1
     top = h * n if N is None else min(N, h * n)
+    check_degree(top * max_degree(B))
     D: list[Polynomial] = [B[0]]
     for k in range(1, top + 1):
-        acc: dict[Monomial, int] = {}
+        acc: RawTerms = {}
         for j in range(1, min(n, k) + 1):
-            weight = (h + 1) * j - k
-            if weight:
-                scaled = Polynomial._raw({m: weight * c for m, c in B[j].items()})
-                add_product_into(acc, scaled, D[k - j])
-        terms: dict[Monomial, int] = {}
-        for mono, c in acc.items():
-            q, r = divmod(c, k)
-            if r:
-                raise ArithmeticError(
-                    f"Miller recurrence: order {k} of B^{h} is not divisible by {k}"
-                )
-            terms[mono] = q
-        D.append(Polynomial._raw(terms))
+            add_product_into(acc, B[j].scale((h + 1) * j - k), D[k - j])
+        D.append(Polynomial.from_raw(acc).exact_div(k))
     return tuple(D)
 
 
@@ -192,13 +191,21 @@ def convolve_numerator(A: Sequence[Polynomial], Q: SeriesPrefix) -> SeriesPrefix
     return SeriesPrefix(convolve(A, Q.coeffs, Q.order))
 
 
-def identity_residual(gf: RationalGF, N: int) -> SeriesPrefix:
+def identity_residual(
+    gf: RationalGF,
+    N: int,
+    P: SeriesPrefix | None = None,
+    Q: SeriesPrefix | None = None,
+) -> SeriesPrefix:
     """Left-minus-right of the double-sum identity; every entry must be 0.
 
-    The double sum sum_{j>=1} sum_l B_j A_l Q_{k-j-l} is order k of
-    ((B - 1) * A) * Q, so the inner products B_j A_l are formed once.
-    Returns the residual series rather than a boolean so a failure shows
-    exactly which order and which polynomial disagree.
+    P and Q are the expansion of gf and the inverse sequence of its
+    denominator to order N, the series the identity checks; each one not
+    given is computed here.  The double sum
+    sum_{j>=1} sum_l B_j A_l Q_{k-j-l} is order k of ((B - 1) * A) * Q, so
+    the inner products B_j A_l are formed once.  Returns the residual
+    series rather than a boolean so a failure shows exactly which order
+    and which polynomial disagree.
     """
     if gf.power != 1:
         raise PowerNotOne(
@@ -207,8 +214,10 @@ def identity_residual(gf: RationalGF, N: int) -> SeriesPrefix:
     A = gf.numerator
     B = gf.denominator
     m = gf.m
-    P = expand_family(gf, N)
-    Q = expand_inverse(B, N)
+    if P is None:
+        P = expand_family(gf, N)
+    if Q is None:
+        Q = expand_inverse(B, N)
     C = convolve((_ZERO,) + B[1:], A, gf.n + m)  # (B - 1) * A
     rhs = convolve(C, Q.coeffs, N)
     return SeriesPrefix(

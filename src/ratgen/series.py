@@ -15,10 +15,18 @@ other, so neither is allowed to use the recurrence or :func:`convolve`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
 from .errors import BadConstantTerm, NegativeOrder, OrderMismatch
-from .poly import RESERVED_VARIABLE, Monomial, Polynomial, add_product_into
+from .poly import (
+    RESERVED_VARIABLE,
+    Polynomial,
+    RawTerms,
+    add_product_into,
+    check_degree,
+    max_degree,
+)
 
 
 @dataclass(frozen=True, slots=True, repr=False)
@@ -92,12 +100,19 @@ def convolve(
     inversion oracles below do not.
     """
     last_a, last_b = len(a) - 1, len(b) - 1
+    # a_j meets only b_0..b_{N-j}: the bound of each a_j uses their largest degree
+    top_b = list(accumulate((p.total_degree() for p in b), max))
+    check_degree(max(
+        (a[j].total_degree() + top_b[min(N - j, last_b)]
+         for j in range(min(N, last_a) + 1)),
+        default=0,
+    ))
     out: list[Polynomial] = []
     for k in range(N + 1):
-        acc: dict[Monomial, int] = {}
+        acc: RawTerms = {}
         for j in range(max(0, k - last_b), min(k, last_a) + 1):
             add_product_into(acc, a[j], b[k - j])
-        out.append(Polynomial(acc))
+        out.append(Polynomial.from_raw(acc))
     return out
 
 
@@ -124,6 +139,7 @@ def geometric_inverse(B: Sequence[Polynomial], N: int) -> SeriesPrefix:
     _check_denominator(B)
     if N < 0:
         raise NegativeOrder(f"order must be nonnegative, got {N}")
+    check_degree(N * max_degree(B))
     n = len(B) - 1
     h = [Polynomial.zero()] + [-B[l] for l in range(1, n + 1)]
     total = [Polynomial.one()] + [Polynomial.zero()] * N
@@ -131,11 +147,11 @@ def geometric_inverse(B: Sequence[Polynomial], N: int) -> SeriesPrefix:
     for k in range(1, N + 1):
         nxt = [Polynomial.zero()] * (N + 1)
         for d in range(k, N + 1):
-            acc: dict[Monomial, int] = {}
+            acc: RawTerms = {}
             # h^k = h^(k-1) * h; h^(k-1) vanishes below order k-1
             for l in range(1, min(n, d - k + 1) + 1):
                 add_product_into(acc, h[l], power[d - l])
-            nxt[d] = Polynomial(acc)
+            nxt[d] = Polynomial.from_raw(acc)
         power = nxt
         for d in range(k, N + 1):
             total[d] = total[d] + power[d]
@@ -178,7 +194,7 @@ def multinomial_inverse(B: Sequence[Polynomial], N: int) -> SeriesPrefix:
             if k > 0:
                 coeff = fact[k] // denom
                 sign = -1 if k % 2 else 1
-                out[weighted] = out[weighted] + Polynomial.constant(sign * coeff) * prod
+                out[weighted] = out[weighted] + prod.scale(sign * coeff)
             return
         j = 0
         while weighted + l * j <= N:

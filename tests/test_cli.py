@@ -5,7 +5,7 @@ import json
 import pytest
 from jsonschema import validate
 
-from ratgen import cli
+from ratgen import cli, recurrence
 from ratgen.cli import main
 from ratgen.poly import Polynomial
 from ratgen.series import SeriesPrefix
@@ -387,3 +387,45 @@ def test_exit_codes_stay_in_contract(capsys, monkeypatch):
                 corrupt_expansion_at(patch, corrupt)
             code, _, _ = run(capsys, argv)
         assert code == expected, argv
+
+
+def test_verify_expands_p_and_q_once(capsys, monkeypatch):
+    real = recurrence.expand_family
+    calls = []
+
+    def counted(gf, N):
+        calls.append(N)
+        return real(gf, N)
+
+    monkeypatch.setattr(recurrence, "expand_family", counted)
+    monkeypatch.setattr(cli, "expand_family", counted)
+    code, out, _ = run(capsys, ["verify", *FIB, "-N", "8", "--oracle", "all"])
+    assert code == 0 and out.count("PASS") == 4
+    assert calls == [8, 8]  # the engine's P and the inverse sequence Q
+
+
+# x^4294901760 = (x^65536)^65535 fits under MAX_DEGREE = 2^32 - 1; twice it does not
+HIGH = "(x^65536)^65535"
+HALF = "(x^65536)^32768"  # x^(2^31)
+
+
+@pytest.mark.parametrize("argv", [
+    ["expand", "--num", "1", "--den", f"1 - {HIGH}*t", "-N", "2"],  # Recurrence.expand
+    ["expand", "--num", "1", "--den", f"1 - {HALF}*t", "--pow", "2", "-N", "2"],
+    ["verify", "--num", "1", "--den", f"1 - {HALF}*t", "-N", "2", "--oracle", "all"],
+    ["expand", "--num", "(x^65536)^65536", "--den", "1 - t", "-N", "0"],  # parse
+], ids=["expand", "pow", "verify", "parse"])
+def test_degree_past_the_bound_exits_2(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "exceeds the bound 4294967295" in err
+
+
+def test_degree_up_to_the_bound_is_exact(capsys):
+    code, out, _ = run(capsys, ["expand", "--num", "1", "--den", f"1 - {HIGH}*t", "-N", "1"])
+    assert (code, out) == (0, "P_0 = 1\nP_1 = x^4294901760\n")
+    code, out, _ = run(capsys, [
+        "verify", "--num", "1", "--den", f"1 - {HALF}*t", "-N", "1", "--oracle", "all"
+    ])
+    assert code == 0 and out.count("PASS") == 4

@@ -18,7 +18,7 @@ zero = Polynomial.zero()
 
 
 def tvar(exp: int = 1) -> Polynomial:
-    return Polynomial._raw({(("t", exp),): 1})
+    return Polynomial({(("t", exp),): 1})
 
 
 def test_parse_fibonacci_denominator():

@@ -1,13 +1,18 @@
 """Polynomial ring: arithmetic, normalization, evaluation, ordering."""
 
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 
 from helpers import polynomials, random_poly
-from ratgen.errors import InvalidVariable, MissingVariable
-from ratgen.poly import Polynomial, validate_variable_name
+from ratgen.errors import DegreeTooLarge, InvalidVariable, MissingVariable
+from ratgen.poly import MAX_DEGREE, Polynomial, validate_variable_name
 
 x = Polynomial.variable("x")
 y = Polynomial.variable("y")
@@ -200,3 +205,56 @@ def test_reserved_series_variable_rejected():
         Polynomial.variable("t")
     with pytest.raises(InvalidVariable):
         validate_variable_name("t")
+
+
+def test_degree_bound_is_exact():
+    top = x**MAX_DEGREE
+    assert top.total_degree() == MAX_DEGREE
+    assert top.coefficient((("x", MAX_DEGREE),)) == 1
+    with pytest.raises(DegreeTooLarge):
+        top * x
+    with pytest.raises(DegreeTooLarge):
+        Polynomial({(("x", MAX_DEGREE), ("y", 1)): 1})
+    assert (top * one).total_degree() == MAX_DEGREE
+
+
+# Run in a fresh interpreter, so that the names are interned in this order.
+_FIRST_SEEN_SCRIPT = """
+import json
+from ratgen.parser import format_poly, parse_poly
+from ratgen.poly import Polynomial
+
+parse_poly("zz + w + z + y + b + x + a")
+p = parse_poly("zz^2 + a*zz + b^2*w + x*y*z + a^3 + w - 3*a*b*x + 2*x*zz*a + 7")
+q = Polynomial({
+    (("a", 3),): 1, (("a", 1), ("b", 1), ("x", 1)): -3,
+    (("a", 1), ("x", 1), ("zz", 1)): 2, (("b", 2), ("w", 1)): 1,
+    (("x", 1), ("y", 1), ("z", 1)): 1, (("a", 1), ("zz", 1)): 1,
+    (("zz", 2),): 1, (("w", 1),): 1, (): 7,
+})
+x, y = Polynomial.variable("x"), Polynomial.variable("y")
+r = Polynomial.one() + x**2 + x * y + y**2 + x
+print(json.dumps({
+    "format": format_poly(p),
+    "equal": p == q and hash(p) == hash(q) and len({p, q}) == 1,
+    "value": p.evaluate({"a": 2, "b": -3, "w": 5, "x": 7, "y": -1, "z": 4, "zz": 11}),
+    "sorted": [list(map(list, m)) for m, _ in r.sorted_terms()],
+    "sorted_abz": [list(map(list, m)) for m, _ in parse_poly("zz*a + b^2 + a^2").sorted_terms()],
+}))
+"""
+
+
+def test_output_does_not_depend_on_first_seen_variable_order():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-c", _FIRST_SEEN_SCRIPT],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    ).stdout
+    assert json.loads(out) == {
+        "format": "a^3 - 3*a*b*x + 2*a*x*zz + b^2*w + x*y*z + a*zz + zz^2 + w + 7",
+        "equal": True,
+        "value": 614,
+        "sorted": [[["x", 2]], [["x", 1], ["y", 1]], [["y", 2]], [["x", 1]], []],
+        "sorted_abz": [[["a", 2]], [["a", 1], ["zz", 1]], [["b", 2]]],
+    }

@@ -350,6 +350,16 @@ def test_identity_residual_points_at_corrupted_order(monkeypatch):
             assert not res[k].is_zero()
 
 
+def test_identity_residual_checks_the_series_it_is_given():
+    gf = fib_gf()
+    P, Q = expand_family(gf, 6), expand_inverse(gf.denominator, 6)
+    assert identity_residual(gf, 6, P, Q) == identity_residual(gf, 6)
+    bad = SeriesPrefix(P[:4] + (P[4] + x,) + P[5:])
+    res = identity_residual(gf, 6, bad, Q)
+    assert all(p.is_zero() for p in res[:4])
+    assert res[4] == -x
+
+
 def test_low_order_refinement():
     # for 0 <= k <= m:  A_k - P_k = sum_{j=1..k} sum_{i=0..k-j} B_j A_i Q_{k-j-i}
     rng = random.Random(173205)

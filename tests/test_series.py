@@ -6,10 +6,10 @@ import pytest
 
 from helpers import random_denominator, random_poly
 from ratgen import series
-from ratgen.errors import BadConstantTerm, NegativeOrder, OrderMismatch
+from ratgen.errors import BadConstantTerm, DegreeTooLarge, NegativeOrder, OrderMismatch
 from ratgen.parser import join_in_t, split_in_t
-from ratgen.poly import Polynomial
-from ratgen.recurrence import Recurrence
+from ratgen.poly import MAX_DEGREE, Polynomial
+from ratgen.recurrence import Recurrence, raise_denominator
 from ratgen.series import (
     SeriesPrefix,
     cauchy_mul,
@@ -196,3 +196,21 @@ def test_truncate_cannot_extend():
     s = consts(1, 2)
     with pytest.raises(OrderMismatch):
         s.truncate(5)
+
+
+def test_kernels_check_the_degree_bound_before_their_loops():
+    half = x ** (MAX_DEGREE // 2 + 1)  # two of these pass the bound
+    B = (one, -half)
+    assert geometric_inverse(B, 1)[1] == half
+    assert raise_denominator(B, 2, 1)[1] == Polynomial.constant(-2) * half
+    assert Recurrence((half,), (one,)).expand(1)[1] == half
+    assert convolve((half,), (one,), 0) == [half]
+    for kernel in (
+        lambda: geometric_inverse(B, 2),  # N * deg B
+        lambda: multinomial_inverse(B, 2),  # through Polynomial.__mul__
+        lambda: raise_denominator(B, 2),  # top order * deg B
+        lambda: Recurrence((half,), (one,)).expand(2),  # forcing + N * feedback
+        lambda: convolve((half,), (half,), 0),  # deg a + deg b
+    ):
+        with pytest.raises(DegreeTooLarge):
+            kernel()
