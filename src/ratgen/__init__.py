@@ -20,6 +20,7 @@ from .errors import (
     PowerNotOne,
     RatGenError,
     TooManyDigits,
+    TooManyVariables,
     UnknownFamily,
 )
 from .families import audit, instantiate, list_families
@@ -58,6 +59,7 @@ __all__ = [
     "Recurrence",
     "SeriesPrefix",
     "TooManyDigits",
+    "TooManyVariables",
     "UnknownFamily",
     "audit",
     "cauchy_mul",

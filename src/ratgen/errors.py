@@ -48,6 +48,10 @@ class DegreeTooLarge(RatGenError):
     """A result whose total degree may pass ``poly.MAX_DEGREE``."""
 
 
+class TooManyVariables(RatGenError):
+    """More distinct variable names than ``poly.MAX_VARIABLES`` in one process."""
+
+
 class UnknownFamily(RatGenError):
     """A family name that is not in the catalog."""
 

@@ -11,12 +11,18 @@ Inside this module each monomial is packed into one ``int`` (Monagan and
 Pearce, "Polynomial division using dynamic arrays, heaps, and packed
 exponent vectors", CASC 2007).  The low ``_WIDTH`` bits hold the total
 degree, and every variable owns the ``_WIDTH``-bit field above it that an
-interning table assigns in the order names are first seen.  The table
-lives for the whole process and only grows.  Because no total degree
-exceeds ``MAX_DEGREE``, no field ever carries into the next, so the
-product of two monomials is the sum of their ints.  Every operation that
-multiplies checks its degree bound once, before its loop, and raises
+interning table assigns in the order names are first seen.  Because no
+total degree exceeds ``MAX_DEGREE``, no field ever carries into the next,
+so the product of two monomials is the sum of their ints.  Every operation
+that multiplies checks its degree bound once, before its loop, and raises
 :class:`DegreeTooLarge` past it; nothing wraps silently.
+
+The table lives for the whole process and only grows, up to
+``MAX_VARIABLES`` names; one more raises :class:`TooManyVariables`.  A
+monomial is as wide as the field of its latest-interned variable, so the
+cap also bounds its size.  Reading monomials back (formatting, evaluation)
+goes through one struct format per variable set, so the cost per term stays
+in C however many names the table holds.
 
 The zero polynomial is the empty map.  Normalization (no zero coefficients)
 is an invariant of every constructed value and packing is canonical, so
@@ -32,12 +38,14 @@ with :meth:`Polynomial.split` before anything downstream sees them.
 from __future__ import annotations
 
 import re
+import struct
 import threading
-from functools import reduce
-from operator import or_
-from typing import Iterable, Iterator, Mapping, Sequence
+from functools import lru_cache, reduce
+from itertools import compress
+from operator import itemgetter, or_
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .errors import DegreeTooLarge, InvalidVariable, MissingVariable
+from .errors import DegreeTooLarge, InvalidVariable, MissingVariable, TooManyVariables
 
 # Series variable; only the parser front end may mention it inside a Polynomial.
 RESERVED_VARIABLE = "t"
@@ -50,7 +58,11 @@ RawTerms = dict[int, int]
 
 _WIDTH = 32
 _MASK = (1 << _WIDTH) - 1
+_BYTES = _WIDTH // 8
 MAX_DEGREE = _MASK  # largest total degree of any monomial
+# Names the interning table gives out, so no monomial is wider than
+# MAX_VARIABLES + 1 fields (about 4 KB).
+MAX_VARIABLES = 1024
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
@@ -88,21 +100,31 @@ def max_degree(polys: Iterable[Polynomial]) -> int:
     return max((p.total_degree() for p in polys), default=0)
 
 
+def growth_degree(feedback: Sequence[Polynomial], N: int) -> int:
+    """How far N steps of X_k = sum_j feedback[j-1] * X_{k-j} raise the degree.
+
+    With r = max_j deg feedback_j / j, induction on k gives
+    deg X_k <= max deg of the start + floor(k*r), and every product
+    feedback_j * X_{k-j} obeys the same bound; the result is floor(N*r).
+    """
+    return max(
+        (N * p.total_degree() // j for j, p in enumerate(feedback, 1)), default=0
+    )
+
+
 def _shift(name: str) -> int:
     shift = _SHIFTS.get(name)
     if shift is None:
         with _INTERN_LOCK:
             shift = _SHIFTS.get(name)
             if shift is None:
+                if len(_NAMES) == MAX_VARIABLES:
+                    raise TooManyVariables(
+                        f"more than {MAX_VARIABLES} distinct variable names"
+                    )
                 _NAMES.append(name)
                 shift = _SHIFTS[name] = _WIDTH * len(_NAMES)
     return shift
-
-
-# Common names go first, in reverse alphabetical order, so that the fields
-# of w, x, y and z descend alphabetically and sorted_terms takes its cheap key.
-for _name in ("z", "y", "x", "w"):
-    _shift(_name)
 
 
 def _unit(name: str) -> int:
@@ -121,10 +143,33 @@ def _pack(mono: Monomial) -> int:
     return packed + degree
 
 
-def _unpack(packed: int, fields: list[tuple[str, int]]) -> Monomial:
-    return tuple(
-        [(name, e) for name, shift in fields if (e := (packed >> shift) & _MASK)]
-    )
+@lru_cache(maxsize=256)
+def _layout(
+    variables: frozenset[str],
+) -> tuple[tuple[str, ...], Callable[[int], tuple[int, ...]]]:
+    """The names of ``variables`` in alphabetical order, and a reader
+    m -> (total degree, exponent of each name in turn) for monomials in them.
+
+    One struct format reads the wanted fields from the monomial's bytes and
+    skips the rest, so the cost per monomial stays in C however many names
+    the interning table holds.  Cached, since a run meets few variable sets.
+    """
+    names = tuple(sorted(variables))
+    if not names:  # only the constant monomial
+        return names, lambda m: (m,)
+    slots = sorted(_SHIFTS[name] // _WIDTH for name in names)
+    fmt, at = ["<I"], 1  # "I" is one 4-byte field, as _WIDTH is 32
+    for i in slots:
+        fmt.append(f"{(i - at) * _BYTES}xI")
+        at = i + 1
+    unpack, size = struct.Struct("".join(fmt)).unpack, at * _BYTES
+    place = {i: r for r, i in enumerate(slots, 1)}
+    get = itemgetter(0, *[place[_SHIFTS[name] // _WIDTH] for name in names])
+    return names, lambda m: get(unpack(m.to_bytes(size, "little")))
+
+
+def _monomial(names: Sequence[str], exponents: Sequence[int]) -> Monomial:
+    return tuple(compress(zip(names, exponents), exponents))
 
 
 class Polynomial:
@@ -251,45 +296,30 @@ class Polynomial:
     def mentions(self, name: str) -> bool:
         return name in self.variables()
 
-    def _fields(self) -> list[tuple[str, int]]:
-        """(name, field offset) of this polynomial's variables, alphabetical."""
-        return [(name, _SHIFTS[name]) for name in sorted(self.variables())]
-
     def coefficient(self, mono: Monomial) -> int:
         if any(name not in _SHIFTS for name, e in mono if e):
             return 0
         return self._terms.get(_pack(mono), 0)
 
     def items(self) -> Iterator[tuple[Monomial, int]]:
-        fields = self._fields()
-        return ((_unpack(m, fields), c) for m, c in self._terms.items())
+        names, read = _layout(self.variables())
+        return ((_monomial(names, read(m)[1:]), c) for m, c in self._terms.items())
 
     def sorted_terms(self) -> list[tuple[Monomial, int]]:
         """Terms in descending graded-lex order, variables alphabetical."""
         terms = self._terms
-        fields = self._fields()
-        if len(fields) <= 1:
+        names, read = _layout(self.variables())
+        if len(names) <= 1:
             # one variable: its exponent is the degree, so int order is degree order
             order = sorted(terms, reverse=True)
-            if fields:
-                name = fields[0][0]
+            if names:
+                name = names[0]
                 return [(((name, m & _MASK),) if m else (), terms[m]) for m in order]
             return [((), terms[m]) for m in order]
-        shifts = [shift for _, shift in fields]
-        if shifts == sorted(shifts, reverse=True):
-            # alphabetical order already runs from the high field down:
-            # the degree, then the packed int itself, is graded-lex
-            top = max(terms).bit_length()
-            order = sorted(terms, key=lambda m: (m & _MASK) << top | m, reverse=True)
-        else:
-            def key(m: int) -> int:  # repacked with the fields in alphabetical order
-                k = m & _MASK
-                for shift in shifts:
-                    k = k << _WIDTH | (m >> shift) & _MASK
-                return k
-
-            order = sorted(terms, key=key, reverse=True)
-        return [(_unpack(m, fields), terms[m]) for m in order]
+        # the degree, then the exponents in alphabetical order, is graded-lex;
+        # distinct monomials never tie, so the pairs compare by key alone
+        keyed = sorted([(read(m), m) for m in terms], reverse=True)
+        return [(_monomial(names, key[1:]), terms[m]) for key, m in keyed]
 
     def split(self, name: str) -> tuple[Polynomial, ...]:
         """C_0..C_d with self = sum_j C_j * name^j; no C_j mentions name.
@@ -397,11 +427,11 @@ class Polynomial:
             raise MissingVariable(
                 "no value assigned for: " + ", ".join(sorted(missing))
             )
-        fields = [(shift, assignment[name]) for name, shift in self._fields()]
+        names, read = _layout(self.variables())
+        values = [assignment[name] for name in names]
         total = 0
         for m, term in self._terms.items():
-            for shift, value in fields:
-                e = (m >> shift) & _MASK
+            for value, e in zip(values, read(m)[1:]):
                 if e:
                     term *= value**e
             total += term

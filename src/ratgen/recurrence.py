@@ -25,6 +25,7 @@ from .poly import (
     RawTerms,
     add_product_into,
     check_degree,
+    growth_degree,
     max_degree,
 )
 from .series import SeriesPrefix, _check_denominator, convolve
@@ -131,7 +132,7 @@ class Recurrence:
         if N < 0:
             raise NegativeOrder(f"order must be nonnegative, got {N}")
         order, feedback, forcing = self.order, self.feedback, self.forcing
-        check_degree(max_degree(forcing) + N * max_degree(feedback))
+        check_degree(max_degree(forcing) + growth_degree(feedback, N))
         m = len(forcing) - 1
         one = Polynomial.one()
         out: list[Polynomial] = [forcing[0]]
@@ -165,7 +166,7 @@ def raise_denominator(
     B = _as_trimmed(B, "denominator")
     n = len(B) - 1
     top = h * n if N is None else min(N, h * n)
-    check_degree(top * max_degree(B))
+    check_degree(growth_degree(B[1:], top))
     D: list[Polynomial] = [B[0]]
     for k in range(1, top + 1):
         acc: RawTerms = {}

@@ -25,7 +25,7 @@ from .poly import (
     RawTerms,
     add_product_into,
     check_degree,
-    max_degree,
+    growth_degree,
 )
 
 
@@ -139,7 +139,7 @@ def geometric_inverse(B: Sequence[Polynomial], N: int) -> SeriesPrefix:
     _check_denominator(B)
     if N < 0:
         raise NegativeOrder(f"order must be nonnegative, got {N}")
-    check_degree(N * max_degree(B))
+    check_degree(growth_degree(B[1:], N))
     n = len(B) - 1
     h = [Polynomial.zero()] + [-B[l] for l in range(1, n + 1)]
     total = [Polynomial.one()] + [Polynomial.zero()] * N

@@ -1,13 +1,17 @@
 """CLI contract: flags, formats, exit codes, deterministic output."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from jsonschema import validate
 
 from ratgen import cli, recurrence
 from ratgen.cli import main
-from ratgen.poly import Polynomial
+from ratgen.poly import MAX_VARIABLES, Polynomial
 from ratgen.series import SeriesPrefix
 
 OUTPUT_SCHEMA = {
@@ -414,7 +418,8 @@ HALF = "(x^65536)^32768"  # x^(2^31)
     ["expand", "--num", "1", "--den", f"1 - {HALF}*t", "--pow", "2", "-N", "2"],
     ["verify", "--num", "1", "--den", f"1 - {HALF}*t", "-N", "2", "--oracle", "all"],
     ["expand", "--num", "(x^65536)^65536", "--den", "1 - t", "-N", "0"],  # parse
-], ids=["expand", "pow", "verify", "parse"])
+    ["expand", "--num", "1", "--den", f"1 - {HALF}*t^2", "-N", "4"],  # P_4 = x^(2^32)
+], ids=["expand", "pow", "verify", "parse", "expand_t2"])
 def test_degree_past_the_bound_exits_2(capsys, argv):
     code, out, err = run(capsys, argv)
     assert (code, out) == (2, "")
@@ -429,3 +434,38 @@ def test_degree_up_to_the_bound_is_exact(capsys):
         "verify", "--num", "1", "--den", f"1 - {HALF}*t", "-N", "1", "--oracle", "all"
     ])
     assert code == 0 and out.count("PASS") == 4
+    # deg B_2 = 2^31 raises the degree by 2^31 every two orders, not every order
+    code, out, _ = run(capsys, ["expand", "--num", "1", "--den", f"1 - {HALF}*t^2", "-N", "3"])
+    assert (code, out) == (0, "P_0 = 1\nP_1 = 0\nP_2 = x^2147483648\nP_3 = 0\n")
+    code, out, _ = run(capsys, [
+        "expand", "--num", "1", "--den", f"1 - {HALF}*t^2", "--pow", "2", "-N", "3"
+    ])
+    assert (code, out) == (0, "P_0 = 1\nP_1 = 0\nP_2 = 2*x^2147483648\nP_3 = 0\n")
+    code, out, _ = run(capsys, [
+        "verify", "--num", "1", "--den", f"1 - {HALF}*t^2", "-N", "3", "--oracle", "all"
+    ])
+    assert code == 0 and out.count("PASS") == 4
+
+
+def _cli_fresh(*argv: str) -> subprocess.CompletedProcess:
+    """The CLI in a fresh interpreter, whose interning table starts empty."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    return subprocess.run(
+        [sys.executable, "-m", "ratgen.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_more_variable_names_than_the_table_holds_exit_2():
+    def names(n):
+        return "+".join(f"v{i}" for i in range(1, n + 1))
+
+    verify = ["--den", "1 - t", "-N", "2", "--oracle", "all"]
+    done = _cli_fresh("verify", "--num", names(MAX_VARIABLES - 16), *verify)
+    assert done.returncode == 0 and done.stdout.count("PASS") == 4
+    done = _cli_fresh("verify", "--num", names(MAX_VARIABLES), *verify)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == (
+        f"error: in --num expression: more than {MAX_VARIABLES} distinct variable names\n"
+    )

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 
 from helpers import polynomials, random_poly
 from ratgen.errors import DegreeTooLarge, InvalidVariable, MissingVariable
-from ratgen.poly import MAX_DEGREE, Polynomial, validate_variable_name
+from ratgen.poly import MAX_DEGREE, MAX_VARIABLES, Polynomial, validate_variable_name
 
 x = Polynomial.variable("x")
 y = Polynomial.variable("y")
@@ -244,17 +244,70 @@ print(json.dumps({
 """
 
 
-def test_output_does_not_depend_on_first_seen_variable_order():
+def _run_fresh(script: str) -> dict:
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     out = subprocess.run(
-        [sys.executable, "-c", _FIRST_SEEN_SCRIPT],
+        [sys.executable, "-c", script],
         env=env, capture_output=True, text=True, check=True, timeout=60,
     ).stdout
-    assert json.loads(out) == {
+    return json.loads(out)
+
+
+def test_output_does_not_depend_on_first_seen_variable_order():
+    assert _run_fresh(_FIRST_SEEN_SCRIPT) == {
         "format": "a^3 - 3*a*b*x + 2*a*x*zz + b^2*w + x*y*z + a*zz + zz^2 + w + 7",
         "equal": True,
         "value": 614,
         "sorted": [[["x", 2]], [["x", 1], ["y", 1]], [["y", 2]], [["x", 1]], []],
         "sorted_abz": [[["a", 2]], [["a", 1], ["zz", 1]], [["b", 2]]],
+    }
+
+
+# Fills the interning table in a fresh interpreter, then computes with the
+# names that own the widest fields.
+_FULL_TABLE_SCRIPT = """
+import json
+from ratgen.errors import TooManyVariables
+from ratgen.parser import format_poly
+from ratgen.poly import MAX_VARIABLES, Polynomial
+
+names = []
+try:
+    for i in range(1, MAX_VARIABLES + 1):
+        Polynomial.variable(f"v{i}")
+        names.append(f"v{i}")
+except TooManyVariables as exc:
+    error = str(exc)
+a, b = Polynomial.variable(names[-1]), Polynomial.variable(names[-2])
+p = (a + b + Polynomial.variable("v1")) ** 3 - a * b
+try:
+    Polynomial.variable("fresh")
+    refused = False
+except TooManyVariables:
+    refused = True
+print(json.dumps({
+    "accepted": len(names),
+    "error": error,
+    "format": format_poly(p * a - a * p + (a - b) ** 2),
+    "value": p.evaluate({"v1": 2, names[-2]: 3, names[-1]: 5}),
+    "terms": len(p),
+    "vars": sorted(p.variables()) == sorted(["v1", names[-2], names[-1]]),
+    "refused": refused,
+}))
+"""
+
+
+def test_interning_table_is_capped_and_its_last_names_compute_exactly():
+    out = _run_fresh(_FULL_TABLE_SCRIPT)
+    n = out.pop("accepted")  # the import itself may intern a few names
+    assert MAX_VARIABLES - 8 <= n < MAX_VARIABLES
+    last, prev = f"v{n}", f"v{n - 1}"
+    assert out == {
+        "error": f"more than {MAX_VARIABLES} distinct variable names",
+        "format": f"{prev}^2 - 2*{prev}*{last} + {last}^2",
+        "value": 10**3 - 15,
+        "terms": 11,
+        "vars": True,
+        "refused": True,
     }
