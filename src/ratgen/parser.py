@@ -17,6 +17,9 @@ meaningful to :func:`split_in_t`.
 
 from __future__ import annotations
 
+from functools import lru_cache, partial, reduce
+from itertools import repeat
+from operator import add
 from typing import Sequence
 
 from .errors import ExponentTooLarge, NegativeExponent, ParseError, TooManyDigits
@@ -183,6 +186,18 @@ def join_in_t(seq: Sequence[Polynomial]) -> Polynomial:
     return Polynomial.join(RESERVED_VARIABLE, seq)
 
 
+# Texts "*x^e" of one variable's power, shared by every formatted polynomial;
+# a fixed bound, since exponents go up to MAX_DEGREE.
+POWER_TEXT_CACHE_SIZE = 1 << 14
+
+
+@lru_cache(maxsize=POWER_TEXT_CACHE_SIZE)
+def _power_text(name: str, e: int) -> str:
+    if e > 1:
+        return f"*{name}^{e}"
+    return f"*{name}" if e else ""
+
+
 def format_poly(p: Polynomial) -> str:
     """Canonical text for a polynomial; parse_poly round-trips it exactly.
 
@@ -191,23 +206,26 @@ def format_poly(p: Polynomial) -> str:
     are elided except on the constant term, and minus signs are folded into
     the separators.
     """
-    terms = p.sorted_terms()
-    if not terms:
+    names, coeffs, columns = p.graded_columns()
+    if not coeffs:
         return "0"
-    chunks: list[str] = []
-    for mono, coeff in terms:
-        magnitude = abs(coeff)
-        parts: list[str] = []
-        if magnitude != 1 or not mono:
-            try:
-                parts.append(str(magnitude))
-            except ValueError:  # past the interpreter's digit limit
-                raise TooManyDigits("a coefficient") from None
-        for var, e in mono:
-            parts.append(var if e == 1 else f"{var}^{e}")
-        body = "*".join(parts)
-        if not chunks:
-            chunks.append(f"-{body}" if coeff < 0 else body)
-        else:
-            chunks.append(f"{' - ' if coeff < 0 else ' + '}{body}")
-    return "".join(chunks)
+    # each term's monomial text, "*x^2*y" or "" for the constant term
+    monos = reduce(
+        partial(map, add),
+        [map(_power_text, repeat(name), column) for name, column in zip(names, columns)],
+    ) if names else [""]  # no names: only the constant term
+    bodies: list[str] = []
+    append = bodies.append
+    try:
+        for magnitude, mono in zip(map(abs, coeffs), monos):
+            if magnitude == 1 and mono:
+                append(mono[1:])
+            else:
+                append(f"{magnitude}{mono}")
+    except ValueError:  # past the interpreter's digit limit
+        raise TooManyDigits("a coefficient") from None
+    if min(coeffs) > 0:
+        return " + ".join(bodies)
+    signs = [" - " if c < 0 else " + " for c in coeffs]
+    signs[0] = "-" if coeffs[0] < 0 else ""
+    return "".join(map(add, signs, bodies))

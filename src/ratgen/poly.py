@@ -20,9 +20,12 @@ that multiplies checks its degree bound once, before its loop, and raises
 The table lives for the whole process and only grows, up to
 ``MAX_VARIABLES`` names; one more raises :class:`TooManyVariables`.  A
 monomial is as wide as the field of its latest-interned variable, so the
-cap also bounds its size.  Reading monomials back (formatting, evaluation)
-goes through one struct format per variable set, so the cost per term stays
-in C however many names the table holds.
+cap also bounds its size.  Reading monomials back goes through one struct
+format per variable set, so the cost per term stays in C however many names
+the table holds.  Every ordered read (formatting, ``sorted_terms``,
+``items``) goes through :meth:`Polynomial.graded_columns`, one sort of the
+terms that returns one exponent column per variable.  Evaluation reads the
+same fields and keeps one running power of its first variable's value.
 
 The zero polynomial is the empty map.  Normalization (no zero coefficients)
 is an invariant of every constructed value and packing is canonical, so
@@ -41,8 +44,8 @@ import re
 import struct
 import threading
 from functools import lru_cache, reduce
-from itertools import compress
-from operator import itemgetter, or_
+from itertools import accumulate, chain, compress, repeat
+from operator import add, itemgetter, mul, or_, sub
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import DegreeTooLarge, InvalidVariable, MissingVariable, TooManyVariables
@@ -146,17 +149,17 @@ def _pack(mono: Monomial) -> int:
 @lru_cache(maxsize=256)
 def _layout(
     variables: frozenset[str],
-) -> tuple[tuple[str, ...], Callable[[int], tuple[int, ...]]]:
-    """The names of ``variables`` in alphabetical order, and a reader
-    m -> (total degree, exponent of each name in turn) for monomials in them.
+) -> tuple[tuple[str, ...], Callable[[Iterable[int]], Iterator[tuple[int, ...]]]]:
+    """The names of ``variables`` (at least one) in alphabetical order, and a
+    reader that maps monomials in them to (total degree, exponent of each
+    name in turn).
 
-    One struct format reads the wanted fields from the monomial's bytes and
-    skips the rest, so the cost per monomial stays in C however many names
-    the interning table holds.  Cached, since a run meets few variable sets.
+    One struct format reads the wanted fields from each monomial's bytes and
+    skips the rest, and the reader chains ``map`` calls over the monomials,
+    so the cost per monomial stays in C however many names the interning
+    table holds.  Cached, since a run meets few variable sets.
     """
     names = tuple(sorted(variables))
-    if not names:  # only the constant monomial
-        return names, lambda m: (m,)
     slots = sorted(_SHIFTS[name] // _WIDTH for name in names)
     fmt, at = ["<I"], 1  # "I" is one 4-byte field, as _WIDTH is 32
     for i in slots:
@@ -165,11 +168,15 @@ def _layout(
     unpack, size = struct.Struct("".join(fmt)).unpack, at * _BYTES
     place = {i: r for r, i in enumerate(slots, 1)}
     get = itemgetter(0, *[place[_SHIFTS[name] // _WIDTH] for name in names])
-    return names, lambda m: get(unpack(m.to_bytes(size, "little")))
+
+    def read(monomials: Iterable[int]) -> Iterator[tuple[int, ...]]:
+        fields = map(unpack, map(int.to_bytes, monomials, repeat(size), repeat("little")))
+        return map(get, fields)
+
+    return names, read
 
 
-def _monomial(names: Sequence[str], exponents: Sequence[int]) -> Monomial:
-    return tuple(compress(zip(names, exponents), exponents))
+_EXPONENTS = itemgetter(slice(1, None))  # a read monomial without its degree
 
 
 class Polynomial:
@@ -302,24 +309,43 @@ class Polynomial:
         return self._terms.get(_pack(mono), 0)
 
     def items(self) -> Iterator[tuple[Monomial, int]]:
-        names, read = _layout(self.variables())
-        return ((_monomial(names, read(m)[1:]), c) for m, c in self._terms.items())
+        """The terms, in the order of :meth:`sorted_terms`."""
+        return iter(self.sorted_terms())
 
     def sorted_terms(self) -> list[tuple[Monomial, int]]:
         """Terms in descending graded-lex order, variables alphabetical."""
+        names, coeffs, columns = self.graded_columns()
+        rows = zip(*columns) if columns else repeat((), len(coeffs))
+        return [
+            (tuple(compress(zip(names, exps), exps)), c)
+            for exps, c in zip(rows, coeffs)
+        ]
+
+    def graded_columns(
+        self,
+    ) -> tuple[tuple[str, ...], Sequence[int], tuple[Sequence[int], ...]]:
+        """The terms in descending graded-lex order, read a column at a time.
+
+        Returns ``(names, coefficients, columns)``: the variables in
+        alphabetical order, the coefficients in term order, and for each
+        name the column of its exponents in the same order (0 where a term
+        lacks it).  Graded-lex order compares total degrees first, then the
+        exponents in alphabetical order of the names.  Every ordered read
+        of the terms goes through here.
+        """
         terms = self._terms
-        names, read = _layout(self.variables())
-        if len(names) <= 1:
+        variables = self.variables()
+        if len(variables) <= 1:
             # one variable: its exponent is the degree, so int order is degree order
             order = sorted(terms, reverse=True)
-            if names:
-                name = names[0]
-                return [(((name, m & _MASK),) if m else (), terms[m]) for m in order]
-            return [((), terms[m]) for m in order]
-        # the degree, then the exponents in alphabetical order, is graded-lex;
+            coeffs = [terms[m] for m in order]
+            column = [m & _MASK for m in order]
+            return tuple(variables), coeffs, (column,) if variables else ()
+        names, read = _layout(variables)
         # distinct monomials never tie, so the pairs compare by key alone
-        keyed = sorted([(read(m), m) for m in terms], reverse=True)
-        return [(_monomial(names, key[1:]), terms[m]) for key, m in keyed]
+        keyed = sorted(zip(read(terms), terms.values()), reverse=True)
+        keys, coeffs = zip(*keyed)
+        return names, coeffs, tuple(zip(*keys))[1:]
 
     def split(self, name: str) -> tuple[Polynomial, ...]:
         """C_0..C_d with self = sum_j C_j * name^j; no C_j mentions name.
@@ -422,20 +448,30 @@ class Polynomial:
 
     def evaluate(self, assignment: Mapping[str, int]) -> int:
         """Exact integer value under a total assignment of the variables."""
-        missing = self.variables() - assignment.keys()
+        variables = self.variables()
+        missing = variables - assignment.keys()
         if missing:
             raise MissingVariable(
                 "no value assigned for: " + ", ".join(sorted(missing))
             )
-        names, read = _layout(self.variables())
-        values = [assignment[name] for name in names]
-        total = 0
-        for m, term in self._terms.items():
-            for value, e in zip(values, read(m)[1:]):
-                if e:
-                    term *= value**e
-            total += term
-        return total
+        if not variables:
+            return sum(self._terms.values())
+        names, read = _layout(variables)
+        # rows (exponents in alphabetical order of the names, coefficient),
+        # ascending in the first name's exponent
+        exponents = map(_EXPONENTS, read(self._terms))
+        rows = sorted(map(add, exponents, zip(self._terms.values())))
+        *columns, coeffs = zip(*rows)
+        # the first exponent only grows along the rows, so one running power of
+        # its value serves every row; the other values are raised row by row.
+        # The maps are lazy: one running power and one term are alive at a time.
+        first = columns[0]
+        steps = map(sub, first, chain((0,), first))
+        powers = accumulate(map(pow, repeat(assignment[names[0]]), steps), mul)
+        terms = map(mul, coeffs, powers)
+        for name, column in zip(names[1:], columns[1:]):
+            terms = map(mul, terms, map(pow, repeat(assignment[name]), column))
+        return sum(terms)
 
     def __repr__(self) -> str:
         from .parser import format_poly

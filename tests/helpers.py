@@ -7,7 +7,7 @@ frozen expected values and randomized sweeps are reproducible run to run.
 from __future__ import annotations
 
 import random
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from hypothesis import strategies as st
 
@@ -54,6 +54,35 @@ def random_denominator(rng: random.Random, max_n: int = 4) -> list[Polynomial]:
     variables = COEFF_VARS[: rng.choice([0, 1, 1, 2])]
     n = rng.randint(0, max_n)
     return [Polynomial.one()] + [random_poly(rng, variables) for _ in range(n)]
+
+
+def reference_format(terms: Mapping[Monomial, int]) -> str:
+    """format_poly's canonical text, built term by term from a term map.
+
+    Sorts by a plain graded-lex key (total degree, then the exponents in
+    alphabetical order of the names) and shares no code with ratgen's
+    ordering or formatting.
+    """
+    terms = {tuple(sorted(mono)): c for mono, c in terms.items() if c}
+    names = sorted({name for mono in terms for name, _ in mono})
+
+    def key(mono: Monomial) -> tuple[int, list[int]]:
+        exponents = dict(mono)
+        vector = [exponents.get(name, 0) for name in names]
+        return sum(vector), vector
+
+    text = ""
+    for mono in sorted(terms, key=key, reverse=True):
+        coeff = terms[mono]
+        factors = [name if e == 1 else f"{name}^{e}" for name, e in mono]
+        if abs(coeff) != 1 or not factors:
+            factors.insert(0, str(abs(coeff)))
+        body = "*".join(factors)
+        if not text:
+            text = f"-{body}" if coeff < 0 else body
+        else:
+            text += f"{' - ' if coeff < 0 else ' + '}{body}"
+    return text or "0"
 
 
 # -- hypothesis strategies ----------------------------------------------------

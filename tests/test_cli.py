@@ -469,3 +469,35 @@ def test_more_variable_names_than_the_table_holds_exit_2():
     assert done.stderr == (
         f"error: in --num expression: more than {MAX_VARIABLES} distinct variable names\n"
     )
+
+
+def test_repeated_main_calls_share_one_parser_and_no_state(capsys):
+    catalan = ["family", "expand", "gen_catalan", "-N", "6", "--format", "json"]
+    code, with_m, _ = run(capsys, [*catalan[:3], "--param", "m=3", "--param", "A=x",
+                                   *catalan[3:]])
+    assert code == 0 and '"m": "3"' in with_m
+    code, default, _ = run(capsys, catalan)
+    assert code == 0
+    fresh = _cli_fresh(*catalan)
+    assert fresh.returncode == 0 and default == fresh.stdout
+    assert '"m": "2"' in default and '"A": "0"' in default
+    code, again, _ = run(capsys, [*catalan[:3], "--param", "A=1", *catalan[3:]])
+    assert code == 0 and '"m": "2"' in again and '"A": "1"' in again
+    assert cli._arg_parser() is cli._arg_parser()
+
+
+def test_verify_all_builds_the_geometric_inverse_once(capsys, monkeypatch):
+    orders = []
+    real = cli.geometric_inverse
+
+    def counted(B, N):
+        orders.append(N)
+        return real(B, N)
+
+    monkeypatch.setattr(cli, "geometric_inverse", counted)
+    code, out, _ = run(capsys, ["verify", *FIB, "-N", "20", "--oracle", "all"])
+    assert code == 0 and out.count("PASS") == 4 and "capped at N=12" in out
+    assert orders == [20]
+    code, out, _ = run(capsys, ["verify", *FIB, "-N", "8", "--oracle", "multinomial"])
+    assert code == 0 and out.startswith("PASS multinomial")
+    assert orders == [20, 8]

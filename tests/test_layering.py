@@ -3,7 +3,9 @@
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "ratgen"
-INTERNALS = ("._terms", "._raw(", "_mul_monomials")
+INTERNALS = (
+    "._terms", "._raw(", "_mul_monomials", "_layout", "_SHIFTS", "_NAMES", "_MASK",
+)
 
 
 def test_only_poly_touches_the_monomial_representation():

@@ -1,16 +1,21 @@
 """Expression parsing, canonical formatting, and the t-split."""
 
+import os
 import random
 import string
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_poly
-from ratgen.errors import ExponentTooLarge, NegativeExponent, ParseError
+from helpers import random_poly, reference_format
+from ratgen.errors import ExponentTooLarge, NegativeExponent, ParseError, TooManyDigits
 from ratgen.parser import MAX_NESTING, format_poly, join_in_t, parse_poly, split_in_t
-from ratgen.poly import Polynomial
+from ratgen.poly import MAX_DEGREE, Polynomial
 
 x = Polynomial.variable("x")
 one = Polynomial.one()
@@ -113,6 +118,78 @@ def test_format_graded_lex_order():
     y = Polynomial.variable("y")
     p = one + x**2 + x * y + y**2 + x
     assert format_poly(p) == "x^2 + x*y + y^2 + x + 1"
+
+
+# Interned here in scrambled order, so their exponent fields do not follow
+# the alphabetical order that formatting uses.
+FORMAT_VARS = ("fmt_d", "fmt_a", "fmt_c", "fmt_b")
+for _name in FORMAT_VARS:
+    Polynomial.variable(_name)
+LARGEST = 10**sys.get_int_max_str_digits() - 1  # the widest coefficient str() allows
+
+
+@st.composite
+def term_maps(draw):
+    names = draw(st.lists(st.sampled_from(FORMAT_VARS), unique=True, max_size=4))
+    exponent = st.one_of(st.integers(0, 3), st.integers(0, MAX_DEGREE))
+    magnitude = st.one_of(
+        st.integers(0, 3), st.integers(0, LARGEST), st.integers(LARGEST // 10, LARGEST)
+    )
+    terms = {}
+    for _ in range(draw(st.integers(0, 8))):
+        budget, mono = MAX_DEGREE, []
+        for name in names:
+            e = min(draw(exponent), budget)
+            budget -= e
+            if e:
+                mono.append((name, e))
+        sign = draw(st.sampled_from((1, -1)))
+        terms[tuple(sorted(mono))] = sign * draw(magnitude)
+    return terms
+
+
+@settings(max_examples=300, deadline=None)
+@given(term_maps())
+def test_format_matches_the_reference_formatter(terms):
+    p = Polynomial(terms)
+    text = format_poly(p)
+    assert text == reference_format(terms)
+    assert text == reference_format(dict(p.items()))
+
+
+def test_coefficient_past_the_digit_limit_raises():
+    for p in (Polynomial.constant(LARGEST + 1), x - Polynomial.term(-LARGEST - 1, {"x": 2})):
+        with pytest.raises(TooManyDigits):
+            format_poly(p)
+    assert format_poly(Polynomial.term(-LARGEST, {"x": 2}) + x) == f"-{LARGEST}*x^2 + x"
+
+
+def test_power_text_cache_stays_bounded_in_a_fresh_interpreter():
+    # under a 1 GiB address-space limit, a cache indexed by exponent would
+    # fail on x^4294901760 instead of exhausting the host's memory
+    script = textwrap.dedent("""
+        import resource
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        from ratgen import parser
+        from ratgen.poly import MAX_DEGREE, Polynomial
+        x = Polynomial.variable("x")
+        print(parser.format_poly(x**4294901760), parser.format_poly(x**MAX_DEGREE))
+        many = range(1, 2 * parser.POWER_TEXT_CACHE_SIZE)
+        dense = Polynomial({(("x", e),): 1 for e in many})
+        assert parser.format_poly(dense).count(" + ") == len(many) - 1
+        info = parser._power_text.cache_info()
+        print(info.currsize, info.maxsize)
+    """)
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    texts, sizes = done.stdout.splitlines()
+    assert texts == f"x^4294901760 x^{MAX_DEGREE}"
+    currsize, maxsize = map(int, sizes.split())
+    assert 0 < currsize <= maxsize < MAX_DEGREE
 
 
 def test_round_trip_fixed_cases():

@@ -1,10 +1,12 @@
 """Polynomial ring: arithmetic, normalization, evaluation, ordering."""
 
 import json
+import math
 import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -86,6 +88,43 @@ def test_eval_missing_variable():
 
 def test_eval_ignores_extra_assignments():
     assert (x + one).evaluate({"x": 1, "y": 99}) == 2
+
+
+def test_eval_matches_the_term_by_term_sum():
+    rng = random.Random(2027)
+    names = ("ev_q", "ev_b", "ev_x", "ev_a")  # interned out of alphabetical order
+    for _ in range(500):
+        chosen = rng.sample(names, rng.randint(0, 4))
+        terms = {}
+        for _ in range(rng.randint(0, 10)):
+            mono = ((name, rng.randint(0, 5)) for name in sorted(chosen))
+            terms[tuple((name, e) for name, e in mono if e)] = rng.randint(-5, 5)
+        point = {name: rng.randint(-3, 3) for name in names}
+        expected = sum(
+            c * math.prod(point[name] ** e for name, e in mono)
+            for mono, c in terms.items()
+        )
+        assert Polynomial(terms).evaluate(point) == expected
+
+
+def test_eval_keeps_memory_linear_in_the_value():
+    # a table of every power of the value held at once would take about
+    # 11 MB for the dense case and 5.8 MB for the sparse one
+    dense = Polynomial({(("x", e),): e + 1 for e in range(3000)})
+    sparse = Polynomial({(("x", k * 100_000),): 1 for k in range(1, 31)})
+    two = Polynomial({(("x", e), ("y", 2999 - e)): 1 for e in range(3000)})
+    for p, point, bound in (
+        (dense, {"x": 10**6}, 2 << 20),
+        (sparse, {"x": 2}, 3 << 20),
+        (two, {"x": 10**6, "y": 3}, 2 << 20),
+    ):
+        tracemalloc.start()
+        try:
+            value = p.evaluate(point)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value > 0 and peak < bound
 
 
 def test_ring_laws_randomized():
