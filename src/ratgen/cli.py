@@ -12,7 +12,8 @@ import argparse
 import json
 import sys
 from functools import lru_cache
-from typing import Sequence
+from json.encoder import encode_basestring_ascii as _quote
+from typing import Iterable, Iterator, Sequence
 
 from . import families as families_mod
 from .errors import InvalidVariable, MissingVariable, RatGenError, TooManyDigits
@@ -183,43 +184,47 @@ def _parse_family_params(pairs: Sequence[str]) -> dict[str, object]:
     return params
 
 
-def _records(
-    expansion: SeriesPrefix, at: dict[str, int] | None
-) -> list[dict[str, object]]:
-    rows: list[dict[str, object]] = []
-    for k, p in enumerate(expansion):
-        row: dict[str, object] = {"k": k, "poly": format_poly(p)}
+def _rows(
+    terms: Iterable[Polynomial], at: dict[str, int] | None
+) -> Iterator[tuple[int, str, str | None]]:
+    """(k, P_k formatted, P_k evaluated at ``at`` or None) as each P_k arrives."""
+    for k, p in enumerate(terms):
+        poly, value = format_poly(p), None
         if at is not None:
             try:
-                value = p.evaluate(at)
+                number = p.evaluate(at)
             except MissingVariable as exc:
                 raise RatGenError(f"--at is incomplete at k={k}: {exc}") from exc
             try:
-                row["value"] = str(value)
+                value = str(number)
             except ValueError:  # past the interpreter's digit limit
                 raise TooManyDigits(f"the --at value at k={k}") from None
-        rows.append(row)
-    return rows
+        yield k, poly, value
 
 
-def _emit(rows: list[dict[str, object]], fmt: str, query: dict[str, object]) -> None:
-    if fmt == "json":
-        print(json.dumps({"query": query, "results": rows},
-                         indent=2, sort_keys=True))
-    elif fmt == "csv":
-        with_value = rows and "value" in rows[0]
-        print("k,poly,value" if with_value else "k,poly")
-        for row in rows:
-            line = f"{row['k']},\"{row['poly']}\""
-            if with_value:
-                line += f",{row['value']}"
-            print(line)
-    else:
-        for row in rows:
-            line = f"P_{row['k']} = {row['poly']}"
-            if "value" in row:
-                line += f" = {row['value']}"
-            print(line)
+def _text_lines(query: dict[str, object], rows: Iterable[tuple]) -> Iterator[str]:
+    for k, poly, value in rows:
+        yield from (f"P_{k} = ", poly, "\n" if value is None else f" = {value}\n")
+
+
+def _csv_lines(query: dict[str, object], rows: Iterable[tuple]) -> Iterator[str]:
+    yield "k,poly\n" if query["at"] is None else "k,poly,value\n"
+    for k, poly, value in rows:
+        yield from (f'{k},"', poly, '"\n' if value is None else f'",{value}\n')
+
+
+def _json_lines(query: dict[str, object], rows: Iterable[tuple]) -> Iterator[str]:
+    """json.dumps({"query": query, "results": rows}, indent=2, sort_keys=True)
+    plus a newline, for one or more rows: "query" sorts first, so rows come last."""
+    head = json.dumps({"query": query}, indent=2, sort_keys=True)
+    yield head[:-2] + ',\n  "results": ['  # drops the closing "\n}"
+    sep = "\n"
+    for k, poly, value in rows:
+        tail = "" if value is None else f',\n      "value": {_quote(value)}'
+        yield from (f'{sep}    {{\n      "k": {k},\n      "poly": ', _quote(poly),
+                    f"{tail}\n    }}")
+        sep = ",\n"
+    yield "\n  ]\n}\n"
 
 
 def _at_echo(at: dict[str, int] | None) -> dict[str, str] | None:
@@ -229,11 +234,15 @@ def _at_echo(at: dict[str, int] | None) -> dict[str, str] | None:
 
 
 def _expand(args: argparse.Namespace, gf: RationalGF, query: dict[str, object]) -> int:
-    """P_0..P_N of gf, emitted with the query echo; both expand commands end here."""
+    """P_0..P_N of gf, emitted with the query echo; both expand commands end here.
+
+    Rows are written once, after the last one: a row that fails prints none."""
     at = _parse_at(args.at)
-    expansion = expand_family(gf, args.N)
-    _emit(_records(expansion, at), args.format,
-          {**query, "N": args.N, "at": _at_echo(at)})
+    terms = derive_recurrence(gf, args.N).iter_terms(args.N)
+    query = {**query, "N": args.N, "at": _at_echo(at)}
+    write = {"text": _text_lines, "csv": _csv_lines, "json": _json_lines}[args.format]
+    lines = list(write(query, _rows(terms, at)))
+    sys.stdout.writelines(lines)
     return 0
 
 
@@ -391,8 +400,18 @@ def _arg_parser() -> argparse.ArgumentParser:
     return build_arg_parser()
 
 
+def _bind_expressions(argv: Sequence[str]) -> Iterator[str]:
+    """``--num -t`` -> ``--num=-t``: the token after --num or --den is its
+    expression, which argparse would take for an option if it starts with -."""
+    tokens = iter(argv)
+    for token in tokens:
+        value = next(tokens, None) if token in ("--num", "--den") else None
+        yield token if value is None else f"{token}={value}"
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _arg_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _arg_parser().parse_args(_bind_expressions(argv))
     try:
         return args.run(args)
     except RatGenError as exc:

@@ -15,8 +15,9 @@ that rebuilds P from Q, and the residual that must vanish identically.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import NegativeOrder, PowerNotOne
 from .poly import (
@@ -123,27 +124,37 @@ class Recurrence:
         """Smallest k from which P_k = sum_j feedback_j P_{k-j} holds."""
         return max(self.forcing_cutoff + 1, self.order)
 
-    def expand(self, N: int) -> SeriesPrefix:
-        """Run the stored recursion; reproduces the source expansion.
+    def iter_terms(self, N: int) -> Iterator[Polynomial]:
+        """Yield P_0..P_N, holding only the last ``order`` of them.
 
-        The engine's one recurrence loop: :func:`expand_family` and
-        :func:`expand_inverse` both run through it.
-        """
+        The engine's one recurrence loop; :meth:`expand` runs through it.  A
+        negative N or a degree past the bound raises at the call, before the
+        first term."""
         if N < 0:
             raise NegativeOrder(f"order must be nonnegative, got {N}")
-        order, feedback, forcing = self.order, self.feedback, self.forcing
+        feedback, forcing = self.feedback, self.forcing
         check_degree(max_degree(forcing) + growth_degree(feedback, N))
-        m = len(forcing) - 1
         one = Polynomial.one()
-        out: list[Polynomial] = [forcing[0]]
-        for k in range(1, N + 1):
-            acc: RawTerms = {}
-            if k <= m:
-                add_product_into(acc, forcing[k], one)
-            for j in range(1, min(order, k) + 1):
-                add_product_into(acc, feedback[j - 1], out[k - j])
-            out.append(Polynomial.from_raw(acc))
-        return SeriesPrefix(out)
+        window: deque[Polynomial] = deque(maxlen=self.order)  # P_{k-order}..P_{k-1}
+
+        def terms() -> Iterator[Polynomial]:
+            window.append(forcing[0])
+            yield forcing[0]
+            for k in range(1, N + 1):
+                acc: RawTerms = {}
+                if k < len(forcing):
+                    add_product_into(acc, forcing[k], one)
+                for coeff, prev in zip(feedback, reversed(window)):
+                    add_product_into(acc, coeff, prev)
+                p = Polynomial.from_raw(acc)
+                window.append(p)
+                yield p
+
+        return terms()
+
+    def expand(self, N: int) -> SeriesPrefix:
+        """Run the stored recursion; reproduces the source expansion."""
+        return SeriesPrefix(tuple(self.iter_terms(N)))
 
 
 def raise_denominator(

@@ -4,9 +4,13 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from jsonschema import validate
 
 from ratgen import cli, recurrence
@@ -143,6 +147,22 @@ def test_expand_numerator_starting_with_minus(capsys):
     code, out, _ = run(capsys, ["expand", "--num=-t", "--den", "1 - t", "-N", "2"])
     assert code == 0
     assert out == "P_0 = 0\nP_1 = -1\nP_2 = -1\n"
+
+
+def test_expression_after_num_or_den_may_start_with_minus(capsys):
+    pair = ["--num", "-t", "--den", "-t+1"]
+    code, out, _ = run(capsys, ["expand", *pair, "-N", "3"])
+    assert (code, out) == (0, "P_0 = 0\nP_1 = -1\nP_2 = -1\nP_3 = -1\n")
+    code, out, _ = run(capsys, ["verify", *pair, "-N", "3", "--oracle", "all"])
+    assert code == 0 and out.count("PASS") == 4
+    code, out, _ = run(capsys, ["recurrence", *pair])
+    assert (code, out.splitlines()[0]) == (0, "P_k = P_{k-1} (k >= 2); P_0 = 0; P_1 = -1")
+    code, out, _ = run(capsys, ["expand", *pair, "-N", "1", "--format", "json"])
+    query = check_json(out)["query"]
+    assert (code, query["num"], query["den"]) == (0, "-t", "-t+1")
+    with pytest.raises(SystemExit) as info:  # a flag with no token after it
+        main(["expand", "--den", "1 - t", "-N", "2", "--num"])
+    assert info.value.code == 2
 
 
 def test_expand_output_is_deterministic(capsys):
@@ -365,7 +385,7 @@ def test_internal_error_exits_2_with_one_line(capsys, monkeypatch):
         raise RuntimeError("boom")
 
     with monkeypatch.context() as patch:
-        patch.setattr(cli, "expand_family", broken)
+        patch.setattr(cli, "derive_recurrence", broken)
         code, out, err = run(capsys, ["expand", *FIB, "-N", "2"])
     assert (code, out, err) == (2, "", "error: internal error: RuntimeError: boom\n")
 
@@ -501,3 +521,77 @@ def test_verify_all_builds_the_geometric_inverse_once(capsys, monkeypatch):
     code, out, _ = run(capsys, ["verify", *FIB, "-N", "8", "--oracle", "multinomial"])
     assert code == 0 and out.startswith("PASS multinomial")
     assert orders == [20, 8]
+
+
+# -- the streamed expansion ---------------------------------------------------
+
+class _CountingStdout:
+    """A stdout that counts the characters written and keeps none of them."""
+
+    def __init__(self) -> None:
+        self.chars = 0
+
+    def write(self, text: str) -> int:
+        self.chars += len(text)
+        return len(text)
+
+    def writelines(self, lines) -> None:
+        for line in lines:
+            self.write(line)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_expand_memory_is_about_the_output_text(fmt):
+    # the rows come from a window of `order` polynomials, so what is held at
+    # the peak is the output text, not P_0..P_N and a second copy of the text
+    argv = ["family", "expand", "fibonacci", "-N", "600", "--format", fmt]
+    with redirect_stdout(_CountingStdout()):
+        assert main(argv) == 0  # builds the parser and fills the caches
+    stdout = _CountingStdout()
+    tracemalloc.start()
+    try:
+        with redirect_stdout(stdout):
+            assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stdout.chars > 6_000_000
+    assert peak <= 2 * stdout.chars
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+@pytest.mark.parametrize("argv, message", [
+    ([*FIB, "-N", "3", "--at", "y=1"], "--at is incomplete at k=2"),
+    (["--num", "1", "--den", "1 - 10^4400*t", "-N", "1"], "a coefficient has more than"),
+    (["--num", "1", "--den", "1 - x*t", "-N", "3", "--at", "x=" + LONG[:3000]],
+     "the --at value at k=2 has more than"),
+], ids=["missing-variable", "coefficient", "at-value"])
+def test_a_failing_row_leaves_stdout_empty_in_every_format(capsys, argv, message, fmt):
+    code, out, err = run(capsys, ["expand", *argv, "--format", fmt])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+
+ANY_TEXT = st.text(st.characters(exclude_categories=()), max_size=12)
+DIGITS = st.integers(-10**30, 10**30).map(str)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    query=st.fixed_dictionaries(
+        {"command": st.sampled_from(["expand", "family expand"]),
+         "N": st.integers(0, 10**6),
+         "at": st.none() | st.dictionaries(ANY_TEXT, DIGITS, max_size=3)},
+        optional={"num": ANY_TEXT, "den": ANY_TEXT, "pow": st.integers(1, 10**6),
+                  "family": ANY_TEXT, "mode": ANY_TEXT,
+                  "params": st.dictionaries(ANY_TEXT, ANY_TEXT, max_size=3)},
+    ),
+    cells=st.lists(st.tuples(ANY_TEXT, st.none() | DIGITS), min_size=1, max_size=5),
+)
+def test_json_rows_are_written_as_json_dumps_writes_the_document(query, cells):
+    # an expansion has at least one row, P_0
+    rows = [(k, poly, value) for k, (poly, value) in enumerate(cells)]
+    results = [{"k": k, "poly": poly, **({} if value is None else {"value": value})}
+               for k, poly, value in rows]
+    expected = json.dumps({"query": query, "results": results}, indent=2, sort_keys=True)
+    assert "".join(cli._json_lines(query, rows)) == expected + "\n"

@@ -6,7 +6,7 @@ import pytest
 
 from helpers import random_gf, random_poly
 from ratgen import recurrence
-from ratgen.errors import BadConstantTerm, NegativeOrder, PowerNotOne
+from ratgen.errors import BadConstantTerm, DegreeTooLarge, NegativeOrder, PowerNotOne
 from ratgen.parser import join_in_t, split_in_t
 from ratgen.poly import Polynomial
 from ratgen.recurrence import (
@@ -295,6 +295,36 @@ def test_recurrence_expand_matches_source():
         gf = random_gf(rng)
         rec = derive_recurrence(gf)
         assert rec.expand(12) == expand_family(gf, 12)
+
+
+def test_iter_terms_streams_the_same_terms_as_expand_and_the_oracle():
+    rng = random.Random(8080)
+    cases = [
+        (0, 3, 5),  # order 0 (--den 1): the forcing, then zeros
+        (2, 6, 9),  # forcing longer than the order
+        (4, 1, 2),  # N below the order
+        (3, 2, 0),  # N = 0
+    ] + [(rng.randint(0, 4), rng.randint(1, 6), rng.randint(0, 14)) for _ in range(40)]
+    for order, m1, N in cases:
+        feedback = tuple(random_poly(rng, ("x", "y")) for _ in range(order))
+        forcing = tuple(random_poly(rng, ("x", "y")) for _ in range(m1))
+        rec = Recurrence(feedback, forcing)
+        streamed = list(rec.iter_terms(N))
+        assert len(streamed) == N + 1
+        assert streamed == list(rec.expand(N).coeffs)
+        den = (one,) + tuple(-f for f in feedback)
+        oracle = convolve_numerator(forcing, geometric_inverse(den, N))
+        assert streamed == list(oracle.coeffs), (order, m1, N)
+
+
+def test_iter_terms_raises_at_the_call_not_at_the_first_term():
+    rec = Recurrence((x, one), (zero, one))
+    with pytest.raises(NegativeOrder, match="^order must be nonnegative, got -1$"):
+        rec.iter_terms(-1)
+    steep = Recurrence((Polynomial({(("x", 2**31),): 1}),), (one,))
+    assert len(list(steep.iter_terms(1))) == 2  # x^(2^31) is under the bound
+    with pytest.raises(DegreeTooLarge):
+        steep.iter_terms(2)  # x^(2^32) is past it
 
 
 # -- cross-identities on randomized instances -------------------------------------
