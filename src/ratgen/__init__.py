@@ -34,6 +34,7 @@ from .recurrence import (
     expand_family,
     expand_inverse,
     identity_residual,
+    iter_family,
     raise_denominator,
     render_recurrence,
 )
@@ -71,6 +72,7 @@ __all__ = [
     "geometric_inverse",
     "identity_residual",
     "instantiate",
+    "iter_family",
     "join_in_t",
     "list_families",
     "multinomial_inverse",

@@ -2,14 +2,16 @@
 
 Subcommands: expand, recurrence, verify, and family {list,expand,audit}.
 Exit codes: 0 success / all checks pass, 1 verification or audit mismatch,
-2 invalid input or an internal error.  Output is deterministic: identical
-invocations produce byte-identical output.
+2 invalid input or an internal error, 141 (128 + SIGPIPE) when the reader
+closes stdout early.  Output is deterministic: identical invocations produce
+byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _quote
@@ -26,11 +28,13 @@ from .recurrence import (
     expand_family,
     expand_inverse,
     identity_residual,
+    iter_family,
     render_recurrence,
 )
 from .series import SeriesPrefix, geometric_inverse, multinomial_inverse
 
 MULTINOMIAL_ORDER_CAP = 12
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, the status of a writer killed by a closed pipe
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -238,7 +242,7 @@ def _expand(args: argparse.Namespace, gf: RationalGF, query: dict[str, object]) 
 
     Rows are written once, after the last one: a row that fails prints none."""
     at = _parse_at(args.at)
-    terms = derive_recurrence(gf, args.N).iter_terms(args.N)
+    terms = iter_family(gf, args.N)
     query = {**query, "N": args.N, "at": _at_echo(at)}
     write = {"text": _text_lines, "csv": _csv_lines, "json": _json_lines}[args.format]
     lines = list(write(query, _rows(terms, at)))
@@ -282,10 +286,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     gf = _gf_from_args(args)
     N = args.N
     selected = args.oracle
-    # B^h once, for the engine and every oracle; each reads only D_0..D_N
+    # the engine expands from B itself; every oracle reads D = B^h, folded
+    # once and only to order N, so a wrong fold fails the check
     reduced = RationalGF(gf.numerator, gf.reduced_denominator(N))
     D = reduced.denominator
-    engine = expand_family(reduced, N)
+    engine = expand_family(gf, N)
     inverse = None  # Q, built once for the convolution and residual oracles
     geometric = None  # 1/B by the geometric sum, built once for two oracles
 
@@ -413,7 +418,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _arg_parser().parse_args(_bind_expressions(argv))
     try:
-        return args.run(args)
+        code = args.run(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader stopped reading (`| head`): not an error of ours.  Point
+        # stdout at devnull so the flush at exit cannot raise again ("Note on
+        # SIGPIPE", Python's signal module docs), and say nothing.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except RatGenError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -3,14 +3,18 @@
 Given f = A(x,t) / B(x,t)^h with B's constant term 1, the coefficient
 polynomials of f obey
 
-    P_0 = A_0,    P_k = [k <= m] A_k - sum_{j=1..min(n,k)} B_j P_{k-j}
+    P_0 = A_0,    P_k = [k <= m] A_k - sum_{j=1..min(n,k)} D_j P_{k-j}
 
-after the denominator power has been folded in (B^h is again a polynomial
-in t with constant term 1, built by Miller's power recurrence and only up
-to the order an expansion reads).  This module derives that recursion as
-data, runs it, and computes the companion identities used for
-cross-checking: the inverse sequence Q of 1/B, the numerator convolution
-that rebuilds P from Q, and the residual that must vanish identically.
+where D = B^h is again a polynomial in t with constant term 1 (D = B for
+h = 1).  This module derives that recursion as data, with D built by
+Miller's power recurrence and only up to the order a reader needs, and
+renders it.  The expansion runs the recursion for h = 1.  For h > 1 it never
+builds D: it streams G = B^-h by Miller's recurrence from B itself, which
+costs n small products per order instead of up to h*n large ones, and
+convolves A with it.  The module also computes the companion identities
+used for cross-checking: the inverse sequence Q of 1/B, the numerator
+convolution that rebuilds P from Q, and the residual that must vanish
+identically.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from .poly import (
     growth_degree,
     max_degree,
 )
-from .series import SeriesPrefix, _check_denominator, convolve
+from .series import SeriesPrefix, _check_denominator, convolve, iter_convolve
 
 _ZERO = Polynomial.zero()
 
@@ -160,36 +164,69 @@ class Recurrence:
 def raise_denominator(
     B: Sequence[Polynomial], h: int, N: int | None = None
 ) -> tuple[Polynomial, ...]:
-    """D_0..D_min(N, h*n) of B^h, with D_0 = 1; N = None gives all orders.
+    """D_0..D_top of B^h, with D_0 = 1, for any nonzero integer h.
+
+    top is min(N, h*n) for h > 0, where N = None gives all h*n orders, and N
+    for h < 0, whose power series has no last order and so needs N.
+    """
+    _check_denominator(B)
+    if h == 0:
+        raise ValueError("power must be a nonzero integer, got 0")
+    if h < 0 and N is None:
+        raise ValueError(f"power {h} is a power series; give an order N")
+    if N is not None and N < 0:
+        raise NegativeOrder(f"order must be nonnegative, got {N}")
+    B = _as_trimmed(B, "denominator")
+    n = len(B) - 1
+    top = N if h < 0 else h * n if N is None else min(N, h * n)
+    check_degree(growth_degree(B[1:], top))
+    return tuple(_iter_power(B, h, top))
+
+
+def _iter_power(B: tuple[Polynomial, ...], h: int, top: int) -> Iterator[Polynomial]:
+    """Yield D_0..D_top of B^h (B trimmed, B_0 = 1, h != 0), holding n of them.
 
     J.C.P. Miller's power recurrence (Knuth, TAOCP vol. 2, section 4.7):
 
         k*D_k = sum_{j=1..min(n,k)} ((h+1)*j - k) * B_j * D_{k-j}
 
-    so each order costs at most n small-by-large products and one division
-    by k, which is exact because B_0 = 1.
+    holds for every exponent, so each order costs at most n small-by-large
+    products and one division by k, which is exact because B_0 = 1.  The
+    caller checks the degree bound.
     """
-    _check_denominator(B)
-    if h < 1:
-        raise ValueError(f"power must be a positive integer, got {h}")
-    if N is not None and N < 0:
-        raise NegativeOrder(f"order must be nonnegative, got {N}")
-    B = _as_trimmed(B, "denominator")
-    n = len(B) - 1
-    top = h * n if N is None else min(N, h * n)
-    check_degree(growth_degree(B[1:], top))
-    D: list[Polynomial] = [B[0]]
+    window: deque[Polynomial] = deque(maxlen=len(B) - 1)  # D_{k-n}..D_{k-1}
+    window.append(B[0])
+    yield B[0]
     for k in range(1, top + 1):
         acc: RawTerms = {}
-        for j in range(1, min(n, k) + 1):
-            add_product_into(acc, B[j].scale((h + 1) * j - k), D[k - j])
-        D.append(Polynomial.from_raw(acc).exact_div(k))
-    return tuple(D)
+        for j, (b, prev) in enumerate(zip(B[1:], reversed(window)), start=1):
+            add_product_into(acc, b.scale((h + 1) * j - k), prev)
+        d = Polynomial.from_raw(acc).exact_div(k)
+        window.append(d)
+        yield d
+
+
+def iter_family(gf: RationalGF, N: int) -> Iterator[Polynomial]:
+    """Yield P_0..P_N of the family generated by gf, one at a time.
+
+    h = 1 runs the derived recursion (:meth:`Recurrence.iter_terms`).  For
+    h > 1, P = A * B^-h: B^-h comes from B by Miller's recurrence and is
+    convolved with A as it arrives, so max(n, m+1) of its orders are held
+    and B^h is never built.  A negative N or a degree past the bound raises
+    at the call, before the first term.
+    """
+    if gf.power == 1:
+        return derive_recurrence(gf, N).iter_terms(N)
+    if N < 0:
+        raise NegativeOrder(f"order must be nonnegative, got {N}")
+    B = gf.denominator
+    check_degree(max_degree(gf.numerator) + growth_degree(B[1:], N))
+    return iter_convolve(gf.numerator, _iter_power(B, -gf.power, N))
 
 
 def expand_family(gf: RationalGF, N: int) -> SeriesPrefix:
-    """P_0..P_N of the family generated by gf, by the derived recursion."""
-    return derive_recurrence(gf, N).expand(N)
+    """P_0..P_N of the family generated by gf."""
+    return SeriesPrefix(tuple(iter_family(gf, N)))
 
 
 def expand_inverse(B: Sequence[Polynomial], N: int) -> SeriesPrefix:

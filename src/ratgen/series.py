@@ -14,9 +14,10 @@ other, so neither is allowed to use the recurrence or :func:`convolve`.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from itertools import accumulate
-from typing import Sequence
+from itertools import accumulate, chain, repeat
+from typing import Iterable, Iterator, Sequence
 
 from .errors import BadConstantTerm, NegativeOrder, OrderMismatch
 from .poly import (
@@ -90,15 +91,30 @@ class SeriesPrefix:
         return cls(coeffs)
 
 
+def iter_convolve(
+    a: Sequence[Polynomial], b: Iterable[Polynomial]
+) -> Iterator[Polynomial]:
+    """c_k = sum_{j<=min(k, len(a)-1)} a_j b_{k-j}, one per b_k as it arrives.
+
+    The engine's one truncated convolution: it holds only the last len(a)
+    terms of b, so b may be a stream.  :func:`convolve` runs through it, and
+    so do the Cauchy product, the numerator convolution, the residual
+    identity and the expansion of A / B^h for h > 1.  The inversion oracles
+    below call none of them.  The caller checks the degree bound.
+    """
+    window: deque[Polynomial] = deque(maxlen=len(a))  # b_k, b_{k-1}, ..
+    for q in b:
+        window.appendleft(q)
+        acc: RawTerms = {}
+        for coeff, prev in zip(a, window):
+            add_product_into(acc, coeff, prev)
+        yield Polynomial.from_raw(acc)
+
+
 def convolve(
     a: Sequence[Polynomial], b: Sequence[Polynomial], N: int
 ) -> list[Polynomial]:
-    """Orders 0..N of the product of two t-coefficient sequences.
-
-    The engine's one truncated convolution: the Cauchy product, the
-    numerator convolution and the residual identity all call it.  The
-    inversion oracles below do not.
-    """
+    """Orders 0..N of the product of two t-coefficient sequences."""
     last_a, last_b = len(a) - 1, len(b) - 1
     # a_j meets only b_0..b_{N-j}: the bound of each a_j uses their largest degree
     top_b = list(accumulate((p.total_degree() for p in b), max))
@@ -107,13 +123,8 @@ def convolve(
          for j in range(min(N, last_a) + 1)),
         default=0,
     ))
-    out: list[Polynomial] = []
-    for k in range(N + 1):
-        acc: RawTerms = {}
-        for j in range(max(0, k - last_b), min(k, last_a) + 1):
-            add_product_into(acc, a[j], b[k - j])
-        out.append(Polynomial.from_raw(acc))
-    return out
+    padded = chain(b[: N + 1], repeat(Polynomial.zero(), max(0, N - last_b)))
+    return list(iter_convolve(a, padded))
 
 
 def cauchy_mul(a: SeriesPrefix, b: SeriesPrefix) -> SeriesPrefix:

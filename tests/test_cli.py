@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from jsonschema import validate
 
-from ratgen import cli, recurrence
+from ratgen import cli, recurrence, series
 from ratgen.cli import main
 from ratgen.poly import MAX_VARIABLES, Polynomial
 from ratgen.series import SeriesPrefix
@@ -385,7 +385,7 @@ def test_internal_error_exits_2_with_one_line(capsys, monkeypatch):
         raise RuntimeError("boom")
 
     with monkeypatch.context() as patch:
-        patch.setattr(cli, "derive_recurrence", broken)
+        patch.setattr(cli, "iter_family", broken)
         code, out, err = run(capsys, ["expand", *FIB, "-N", "2"])
     assert (code, out, err) == (2, "", "error: internal error: RuntimeError: boom\n")
 
@@ -428,6 +428,48 @@ def test_verify_expands_p_and_q_once(capsys, monkeypatch):
     assert calls == [8, 8]  # the engine's P and the inverse sequence Q
 
 
+def test_verify_catches_a_wrong_power_fold(capsys, monkeypatch):
+    # the engine expands A/B^h from B; the oracles read the fold D = B^h
+    real = recurrence.raise_denominator
+
+    def one_power_short(B, h, N=None):
+        return real(B, h - 1 if h > 0 else h, N)
+
+    monkeypatch.setattr(recurrence, "raise_denominator", one_power_short)
+    code, out, _ = run(capsys, [
+        "verify", *FIB, "--pow", "3", "-N", "10", "--oracle", "all"
+    ])
+    assert code == 1
+    lines = out.splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        "FAIL geometric", "PASS multinomial (N=10)", "FAIL convolution", "FAIL residual"
+    ]
+    assert all("first difference at k=2" in lines[i] for i in (0, 2, 3))
+    code, out, _ = run(capsys, ["expand", "--num", "1", "--den", "1-t", "--pow", "3",
+                                "-N", "4"])
+    assert (code, out) == (0, "".join(f"P_{k} = {v}\n"
+                                      for k, v in enumerate((1, 3, 6, 10, 15))))
+
+
+def test_high_power_expansion_does_linear_work_per_order(capsys, monkeypatch):
+    # A * B^-h costs n + m + 1 products per order; the fold B^h it replaces
+    # needed min(k, h*n) products at order k, about N^2/2 in all
+    calls = []
+    for module in (recurrence, series):
+        real = module.add_product_into
+
+        def counted(acc, p, q, real=real):
+            calls.append(1)
+            real(acc, p, q)
+
+        monkeypatch.setattr(module, "add_product_into", counted)
+    code, out, _ = run(capsys, ["expand", "--num", "1", "--den", "1-x*t-y*t^2",
+                                "--pow", "40", "-N", "17"])
+    N, n, m = 17, 2, 0
+    assert code == 0 and out.count("\n") == N + 1
+    assert 0 < len(calls) <= (N + 1) * (n + m + 2)
+
+
 # x^4294901760 = (x^65536)^65535 fits under MAX_DEGREE = 2^32 - 1; twice it does not
 HIGH = "(x^65536)^65535"
 HALF = "(x^65536)^32768"  # x^(2^31)
@@ -467,14 +509,14 @@ def test_degree_up_to_the_bound_is_exact(capsys):
     assert code == 0 and out.count("PASS") == 4
 
 
+# the CLI in a fresh interpreter, whose interning table starts empty
+FRESH_CLI = (sys.executable, "-m", "ratgen.cli")
+FRESH_ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+
+
 def _cli_fresh(*argv: str) -> subprocess.CompletedProcess:
-    """The CLI in a fresh interpreter, whose interning table starts empty."""
-    src = Path(__file__).resolve().parents[1] / "src"
-    return subprocess.run(
-        [sys.executable, "-m", "ratgen.cli", *argv],
-        env=dict(os.environ, PYTHONPATH=str(src)),
-        capture_output=True, text=True, timeout=120,
-    )
+    return subprocess.run([*FRESH_CLI, *argv], env=FRESH_ENV, capture_output=True,
+                          text=True, timeout=120)
 
 
 def test_more_variable_names_than_the_table_holds_exit_2():
@@ -539,12 +581,18 @@ class _CountingStdout:
         for line in lines:
             self.write(line)
 
+    def flush(self) -> None:
+        pass
 
-@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
-def test_expand_memory_is_about_the_output_text(fmt):
-    # the rows come from a window of `order` polynomials, so what is held at
-    # the peak is the output text, not P_0..P_N and a second copy of the text
-    argv = ["family", "expand", "fibonacci", "-N", "600", "--format", fmt]
+
+@pytest.mark.parametrize("argv", [
+    *(["family", "expand", "fibonacci", "-N", "600", "--format", fmt]
+      for fmt in ("text", "json", "csv")),
+    ["expand", *FIB, "--pow", "2", "-N", "600"],  # B^-2 streamed into A * B^-2
+], ids=["text", "json", "csv", "pow2"])
+def test_expand_memory_is_about_the_output_text(argv):
+    # the rows come from a window of max(n, m+1) polynomials, so what is held
+    # at the peak is the output text, not P_0..P_N and a second copy of the text
     with redirect_stdout(_CountingStdout()):
         assert main(argv) == 0  # builds the parser and fills the caches
     stdout = _CountingStdout()
@@ -595,3 +643,39 @@ def test_json_rows_are_written_as_json_dumps_writes_the_document(query, cells):
                for k, poly, value in rows]
     expected = json.dumps({"query": query, "results": results}, indent=2, sort_keys=True)
     assert "".join(cli._json_lines(query, rows)) == expected + "\n"
+
+
+# -- a reader that stops early ---------------------------------------------------
+
+def _spawn_cli(*argv: str, stdout) -> subprocess.Popen:
+    return subprocess.Popen([*FRESH_CLI, *argv], stdout=stdout, stderr=subprocess.PIPE,
+                            env=FRESH_ENV)
+
+
+def test_a_reader_closing_the_pipe_early_is_not_a_crash():
+    # `ratgen family expand fibonacci -N 600 | head -c 50`: 6 MB into a pipe
+    # whose reader is gone after 50 bytes
+    proc = _spawn_cli("family", "expand", "fibonacci", "-N", "600",
+                      stdout=subprocess.PIPE)
+    head = proc.stdout.read(50)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == cli.EXIT_BROKEN_PIPE == 141
+    assert head.startswith(b"P_0 = 0\nP_1 = 1\n") and err == b""
+
+
+@pytest.mark.parametrize("argv", [
+    ["expand", *FIB, "-N", "3"],  # fits the stdout buffer: fails at the flush
+    ["verify", *FIB, "-N", "3", "--oracle", "all"],
+    ["family", "list"],
+])
+def test_a_pipe_closed_before_the_first_write_exits_141_silently(argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # nobody will ever read
+    try:
+        proc = _spawn_cli(*argv, stdout=write_end)
+    finally:
+        os.close(write_end)
+    _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (141, b"")

@@ -17,6 +17,7 @@ from ratgen.recurrence import (
     expand_family,
     expand_inverse,
     identity_residual,
+    iter_family,
     raise_denominator,
     render_recurrence,
 )
@@ -105,17 +106,38 @@ def test_raise_denominator_matches_polynomial_power():
 def test_raise_denominator_rejects_bad_input():
     with pytest.raises(BadConstantTerm):
         raise_denominator([c(2)], 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="nonzero"):
         raise_denominator([one], 0)
+    with pytest.raises(ValueError, match="give an order N"):
+        raise_denominator(FIB_DEN, -2)  # B^-2 has no last order
+    with pytest.raises(NegativeOrder):
+        raise_denominator(FIB_DEN, -2, -1)
+
+
+def test_negative_power_inverts_the_positive_one():
+    # the same Miller loop with exponent -h: B^-h * B^h = 1 mod t^(N+1)
+    rng = random.Random(20261018)
+    for _ in range(30):
+        n = rng.randint(0, 3)
+        h = rng.randint(1, 6)
+        N = rng.randint(0, 20)
+        B = [one] + [random_poly(rng, ("x", "y"), max_degree=1) for _ in range(n)]
+        inverse = raise_denominator(B, -h, N)
+        assert len(inverse) == N + 1
+        power = SeriesPrefix.from_polynomials(raise_denominator(B, h, N), N)
+        assert cauchy_mul(SeriesPrefix(inverse), power) == SeriesPrefix.identity(N)
+    assert raise_denominator([one, -one], -2, 4) == tuple(map(c, (1, 2, 3, 4, 5)))
 
 
 def test_truncated_power_leaves_expansion_unchanged():
+    # expand_family expands A * B^-h from B; gf.reduced() folds B^h and runs
+    # the recurrence, so the two share neither loop past N = h*n
     rng = random.Random(1729)
     for _ in range(15):
         gf = random_gf(rng)
         gf = RationalGF(gf.numerator, gf.denominator, rng.randint(1, 5))
         full = gf.reduced_denominator()
-        for N in range(gf.power * gf.n + 1):
+        for N in range(gf.power * gf.n + 4):
             assert gf.reduced_denominator(N) == full[: N + 1]
             assert expand_family(gf, N) == expand_family(gf.reduced(), N)
     with pytest.raises(NegativeOrder):
@@ -315,6 +337,28 @@ def test_iter_terms_streams_the_same_terms_as_expand_and_the_oracle():
         den = (one,) + tuple(-f for f in feedback)
         oracle = convolve_numerator(forcing, geometric_inverse(den, N))
         assert streamed == list(oracle.coeffs), (order, m1, N)
+
+
+def test_iter_family_streams_the_expansion_of_every_power():
+    rng = random.Random(4096)
+    for _ in range(20):
+        gf = random_gf(rng)
+        gf = RationalGF(gf.numerator, gf.denominator, rng.randint(1, 4))
+        N = rng.randint(0, 12)
+        streamed = iter_family(gf, N)
+        assert not isinstance(streamed, (list, tuple))
+        assert list(streamed) == list(expand_family(gf.reduced(), N).coeffs)
+
+
+def test_iter_family_raises_at_the_call_for_every_power():
+    half = Polynomial({(("x", 2**31),): 1})  # two of these pass the bound
+    for h in (1, 2, 5):
+        with pytest.raises(NegativeOrder, match="^order must be nonnegative, got -1$"):
+            iter_family(RationalGF(FIB_NUM, FIB_DEN, h), -1)
+        gf = RationalGF((one,), (one, -half), h)
+        assert len(list(iter_family(gf, 1))) == 2
+        with pytest.raises(DegreeTooLarge):
+            iter_family(gf, 2)
 
 
 def test_iter_terms_raises_at_the_call_not_at_the_first_term():

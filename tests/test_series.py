@@ -5,7 +5,7 @@ import random
 import pytest
 
 from helpers import random_denominator, random_poly
-from ratgen import series
+from ratgen import recurrence, series
 from ratgen.errors import BadConstantTerm, DegreeTooLarge, NegativeOrder, OrderMismatch
 from ratgen.parser import join_in_t, split_in_t
 from ratgen.poly import MAX_DEGREE, Polynomial
@@ -108,6 +108,8 @@ def test_oracles_use_neither_engine_kernel(monkeypatch):
         b_series = SeriesPrefix.from_polynomials(B, N)
         assert cauchy_mul(b_series, inv) == SeriesPrefix.identity(N)
     monkeypatch.setattr(series, "convolve", refuse)
+    monkeypatch.setattr(series, "iter_convolve", refuse)
+    monkeypatch.setattr(recurrence, "_iter_power", refuse)  # Miller's loop
     for B, N in cases:
         assert multinomial_inverse(B, N) == geometric_inverse(B, N)
 
