@@ -35,6 +35,7 @@ from .recurrence import (
     expand_inverse,
     identity_residual,
     iter_family,
+    iter_values,
     raise_denominator,
     render_recurrence,
 )
@@ -73,6 +74,7 @@ __all__ = [
     "identity_residual",
     "instantiate",
     "iter_family",
+    "iter_values",
     "join_in_t",
     "list_families",
     "multinomial_inverse",

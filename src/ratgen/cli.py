@@ -12,15 +12,17 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from functools import lru_cache
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterable, Iterator, Sequence
 
 from . import families as families_mod
 from .errors import InvalidVariable, MissingVariable, RatGenError, TooManyDigits
 from .parser import format_poly, parse_poly, split_in_t
-from .poly import Polynomial, validate_variable_name
+from .poly import Polynomial, require_values, validate_variable_name
 from .recurrence import (
     RationalGF,
     convolve_numerator,
@@ -29,12 +31,16 @@ from .recurrence import (
     expand_inverse,
     identity_residual,
     iter_family,
+    iter_values,
     render_recurrence,
 )
 from .series import SeriesPrefix, geometric_inverse, multinomial_inverse
 
 MULTINOMIAL_ORDER_CAP = 12
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, the status of a writer killed by a closed pipe
+# An integer as --at and --param read it: what int() accepts, less its
+# underscores and non-ASCII digits, as in an expression's integer literals.
+_INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -140,6 +146,16 @@ def _gf_from_args(args: argparse.Namespace) -> RationalGF:
     return RationalGF(num, den, args.pow)
 
 
+def _integer(text: str, what: str) -> int | None:
+    """The value of ``text`` if it is an integer (see _INTEGER), else None."""
+    if not _INTEGER.fullmatch(text):
+        return None
+    try:
+        return int(text)
+    except ValueError:  # past the interpreter's digit limit
+        raise TooManyDigits(what) from None
+
+
 def _parse_at(text: str | None) -> dict[str, int] | None:
     if text is None:
         return None
@@ -159,15 +175,12 @@ def _parse_at(text: str | None) -> dict[str, int] | None:
         if var in assignment:
             raise RatGenError(f"--at assigns {var!r} more than once")
         value = value.strip()
-        try:
-            assignment[var] = int(value)
-        except ValueError:
-            digits = value[1:] if value[:1] in ("+", "-") else value
-            if digits.isdecimal():  # past the interpreter's digit limit
-                raise TooManyDigits(f"the --at value for {var!r}") from None
+        number = _integer(value, f"the --at value for {var!r}")
+        if number is None:
             raise RatGenError(
                 f"bad --at value for {var!r}: {value!r} is not an integer"
-            ) from None
+            )
+        assignment[var] = number
     if not assignment:
         raise RatGenError("--at given but no assignments parsed")
     return assignment
@@ -181,24 +194,26 @@ def _parse_family_params(pairs: Sequence[str]) -> dict[str, object]:
         if not sep or not key:
             raise RatGenError(f"bad --param entry {pair!r}; expected KEY=VALUE")
         value = value.strip()
-        try:
-            params[key] = int(value)
-        except ValueError:
-            params[key] = parse_poly(value)
+        number = _integer(value, f"the --param value for {key!r}")
+        params[key] = parse_poly(value) if number is None else number
     return params
 
 
 def _rows(
-    terms: Iterable[Polynomial], at: dict[str, int] | None
+    terms: Iterable[Polynomial], at: dict[str, int] | None, values: Iterator[int]
 ) -> Iterator[tuple[int, str, str | None]]:
-    """(k, P_k formatted, P_k evaluated at ``at`` or None) as each P_k arrives."""
+    """(k, P_k formatted, P_k's value at ``at`` or None) as each P_k arrives.
+
+    With ``at``, each row draws its value from ``values`` once P_k is known
+    to mention only names that ``at`` assigns."""
     for k, p in enumerate(terms):
         poly, value = format_poly(p), None
         if at is not None:
             try:
-                number = p.evaluate(at)
+                require_values(p.variables(), at)
             except MissingVariable as exc:
                 raise RatGenError(f"--at is incomplete at k={k}: {exc}") from exc
+            number = next(values)
             try:
                 value = str(number)
             except ValueError:  # past the interpreter's digit limit
@@ -237,15 +252,26 @@ def _at_echo(at: dict[str, int] | None) -> dict[str, str] | None:
     return {var: str(value) for var, value in sorted(at.items())}
 
 
+def _zero_filled(gf: RationalGF, at: dict[str, int]) -> dict[str, int]:
+    """``at`` with every name of A or B that it lacks set to 0.
+
+    Exact for every value that is printed: a row whose P_k mentions such a
+    name fails before its value is drawn, and the other rows do not depend
+    on it."""
+    names = chain.from_iterable(p.variables() for p in gf.numerator + gf.denominator)
+    return {**dict.fromkeys(names, 0), **at}
+
+
 def _expand(args: argparse.Namespace, gf: RationalGF, query: dict[str, object]) -> int:
     """P_0..P_N of gf, emitted with the query echo; both expand commands end here.
 
     Rows are written once, after the last one: a row that fails prints none."""
     at = _parse_at(args.at)
     terms = iter_family(gf, args.N)
+    values = iter(()) if at is None else iter_values(gf, _zero_filled(gf, at), args.N)
     query = {**query, "N": args.N, "at": _at_echo(at)}
     write = {"text": _text_lines, "csv": _csv_lines, "json": _json_lines}[args.format]
-    lines = list(write(query, _rows(terms, at)))
+    lines = list(write(query, _rows(terms, at, values)))
     sys.stdout.writelines(lines)
     return 0
 

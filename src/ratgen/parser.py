@@ -49,9 +49,9 @@ def _tokenize(src: str) -> list[_Token]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdigit() and ch.isascii():  # int() reads other digits too; 0-9 only
             j = i
-            while j < n and src[j].isdigit():
+            while j < n and src[j].isdigit() and src[j].isascii():
                 j += 1
             tokens.append(_Token("int", src[i:j], i))
             i = j

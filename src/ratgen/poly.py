@@ -90,6 +90,13 @@ def validate_variable_name(name: str) -> str:
     return name
 
 
+def require_values(names: Iterable[str], assignment: Mapping[str, int]) -> None:
+    """Raise MissingVariable naming every one of ``names`` that ``assignment`` lacks."""
+    missing = set(names) - assignment.keys()
+    if missing:
+        raise MissingVariable("no value assigned for: " + ", ".join(sorted(missing)))
+
+
 def check_degree(degree: int) -> None:
     """Raise DegreeTooLarge if a result may reach a total degree past MAX_DEGREE."""
     if degree > MAX_DEGREE:
@@ -449,11 +456,7 @@ class Polynomial:
     def evaluate(self, assignment: Mapping[str, int]) -> int:
         """Exact integer value under a total assignment of the variables."""
         variables = self.variables()
-        missing = variables - assignment.keys()
-        if missing:
-            raise MissingVariable(
-                "no value assigned for: " + ", ".join(sorted(missing))
-            )
+        require_values(variables, assignment)
         if not variables:
             return sum(self._terms.values())
         names, read = _layout(variables)

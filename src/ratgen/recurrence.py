@@ -11,17 +11,22 @@ Miller's power recurrence and only up to the order a reader needs, and
 renders it.  The expansion runs the recursion for h = 1.  For h > 1 it never
 builds D: it streams G = B^-h by Miller's recurrence from B itself, which
 costs n small products per order instead of up to h*n large ones, and
-convolves A with it.  The module also computes the companion identities
-used for cross-checking: the inverse sequence Q of 1/B, the numerator
-convolution that rebuilds P from Q, and the residual that must vanish
-identically.
+convolves A with it.  Substituting integers for the variables is a ring
+homomorphism that keeps B_0 = 1, so the same power recurrence, run on the
+plain integers a = A(point) and b = B(point), yields the values
+P_0(point)..P_N(point) without building any P_k.  The module also computes
+the companion identities used for cross-checking: the inverse sequence Q of
+1/B, the numerator convolution that rebuilds P from Q, and the residual that
+must vanish identically.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from itertools import chain
+from operator import mul
+from typing import Iterator, Mapping, Sequence
 
 from .errors import NegativeOrder, PowerNotOne
 from .poly import (
@@ -32,6 +37,7 @@ from .poly import (
     check_degree,
     growth_degree,
     max_degree,
+    require_values,
 )
 from .series import SeriesPrefix, _check_denominator, convolve, iter_convolve
 
@@ -222,6 +228,50 @@ def iter_family(gf: RationalGF, N: int) -> Iterator[Polynomial]:
     B = gf.denominator
     check_degree(max_degree(gf.numerator) + growth_degree(B[1:], N))
     return iter_convolve(gf.numerator, _iter_power(B, -gf.power, N))
+
+
+def iter_values(gf: RationalGF, point: Mapping[str, int], N: int) -> Iterator[int]:
+    """Yield P_0(point)..P_N(point) as ints, with no Polynomial arithmetic.
+
+    The values are the coefficients of a / b^h with a = A(point) and
+    b = B(point), a series over the integers with b_0 = 1.  G = b^-h comes
+    from Miller's recurrence,
+
+        k*G_k = sum_{j=1..min(n,k)} ((1-h)*j - k) * b_j * G_{k-j},
+
+    whose division by k is exact (ArithmeticError otherwise), and each G_k is
+    convolved with a as it arrives; the last max(n, m+1) of them are held.
+    Each A_j and B_j is evaluated once, when order j is first reached, so a
+    consumer that stops at order k never evaluates the coefficients past it.
+    The stream shares no kernel with the engine, so it also checks it.  A
+    negative N or a variable of A or B that ``point`` lacks raises at the
+    call, before the first value.
+    """
+    if N < 0:
+        raise NegativeOrder(f"order must be nonnegative, got {N}")
+    A, B, h = gf.numerator, gf.denominator, gf.power
+    require_values(chain.from_iterable(p.variables() for p in A + B), point)
+
+    def values() -> Iterator[int]:
+        a = [A[0].evaluate(point)]  # a_0..a_min(k, m)
+        b: list[int] = []  # b_1..b_min(k, n)
+        hb: list[int] = []  # (1-h)*j*b_j: each weight less its multiple of k
+        window = deque([1], maxlen=max(len(B) - 1, len(A)))  # G_k, G_{k-1}, ..
+        yield a[0]
+        for k in range(1, N + 1):
+            if k < len(A):
+                a.append(A[k].evaluate(point))
+            if k < len(B):
+                b.append(B[k].evaluate(point))
+                hb.append((1 - h) * k * b[-1])
+            # k*G_k = sum hb_j*G_{k-j} - k * sum b_j*G_{k-j}
+            g, r = divmod(sum(map(mul, hb, window)), k)
+            if r:
+                raise ArithmeticError(f"order {k} of b^-{h} is not an integer")
+            window.appendleft(g - sum(map(mul, b, window)))
+            yield sum(map(mul, a, window))
+
+    return values()
 
 
 def expand_family(gf: RationalGF, N: int) -> SeriesPrefix:

@@ -121,6 +121,91 @@ def test_expand_rejects_incomplete_at(capsys):
     assert "x" in err
 
 
+# Each case's stdout, stderr and exit code are those of the release that
+# evaluated every P_k at the --at point; the value stream, which sets the
+# names --at lacks to 0, must keep them.
+AT_CORNERS = [
+    (["--num", "1", "--den", "1-x*t-y*t^5", "-N", "3", "--at", "x=2"],
+     0, "P_0 = 1 = 1\nP_1 = x = 2\nP_2 = x^2 = 4\nP_3 = x^3 = 8\n", ""),
+    (["--num", "1", "--den", "1-x*t-y*t^5", "-N", "5", "--at", "x=2"],
+     2, "", "error: --at is incomplete at k=5: no value assigned for: y\n"),
+    (["--num", "0", "--den", "1-y*t", "-N", "3", "--at", "x=1"],
+     0, "".join(f"P_{k} = 0 = 0\n" for k in range(4)), ""),
+    (["--num", "y", "--den", "1-x*t", "-N", "2", "--at", "x=1"],
+     2, "", "error: --at is incomplete at k=0: no value assigned for: y\n"),
+    (["--num", "1", "--den", "1", "-N", "3", "--at", "x=1"],
+     0, "P_0 = 1 = 1\nP_1 = 0 = 0\nP_2 = 0 = 0\nP_3 = 0 = 0\n", ""),
+    (["--num", "x + y*t^3", "--den", "1 - x*t - z*t^2", "--pow", "4", "-N", "2",
+      "--at", "x=2,z=-1", "--format", "csv"],
+     0, 'k,poly,value\n0,"x",2\n1,"4*x^2",16\n2,"10*x^3 + 4*x*z",72\n', ""),
+    (["--num", "x + y*t^3", "--den", "1 - x*t - z*t^2", "--pow", "4", "-N", "3",
+      "--at", "x=2,z=-1", "--format", "csv"],
+     2, "", "error: --at is incomplete at k=3: no value assigned for: y\n"),
+]
+
+
+@pytest.mark.parametrize("argv, code, out, err", AT_CORNERS, ids=[
+    "late-name-unreached", "late-name-reached", "zero-numerator", "numerator-name",
+    "constant-gf", "pow4-name-unreached", "pow4-name-reached",
+])
+def test_at_corner_cases_keep_their_output(capsys, argv, code, out, err):
+    assert run(capsys, ["expand", *argv]) == (code, out, err)
+
+
+def test_a_failing_value_draws_no_later_row(capsys, monkeypatch):
+    drawn = {"iter_family": 0, "iter_values": 0}
+
+    def counting(name):
+        real = getattr(cli, name)
+
+        def wrapper(*args):
+            stream = real(*args)  # errors at the call still raise here
+
+            def counted():
+                for item in stream:
+                    drawn[name] += 1
+                    yield item
+
+            return counted()
+
+        monkeypatch.setattr(cli, name, wrapper)
+
+    counting("iter_family")
+    counting("iter_values")
+    code, out, err = run(capsys, ["expand", "--num", "1", "--den", "1 - x*t",
+                                  "-N", "1000000", "--at", "x=" + "9" * 3000])
+    assert (code, out) == (2, "")
+    assert "the --at value at k=2 has more than" in err
+    assert drawn == {"iter_family": 3, "iter_values": 3}  # k = 0, 1, 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--num", "\u00b2", "--den", "1-t", "-N", "1"],
+     "in --num expression: unexpected character '\u00b2' (at position 0)"),
+    (["--num", "\u0661\u0662", "--den", "1-t", "-N", "1"],
+     "in --num expression: unexpected character '\u0661' (at position 0)"),
+    (["--num", "1", "--den", "1-3\uff17*t", "-N", "1"],
+     "in --den expression: unexpected character '\uff17' (at position 3)"),
+    (["--num", "1_0", "--den", "1-t", "-N", "1"],
+     "in --num expression: unexpected character '_' (at position 1)"),
+    (["--num", "1", "--den", "1-x*t", "-N", "1", "--at", "x=\u0661\u0662"],
+     "bad --at value for 'x': '\u0661\u0662' is not an integer"),
+    (["--num", "1", "--den", "1-x*t", "-N", "1", "--at", "x=1_000"],
+     "bad --at value for 'x': '1_000' is not an integer"),
+], ids=["superscript", "arabic-indic", "fullwidth", "underscore", "at-arabic-indic",
+        "at-underscore"])
+def test_integers_are_read_in_ascii_digits_only(capsys, argv, message):
+    assert run(capsys, ["expand", *argv]) == (2, "", f"error: {message}\n")
+
+
+def test_family_param_integers_are_read_in_ascii_digits_only(capsys):
+    argv = ["family", "expand", "gen_catalan", "-N", "2", "--param"]
+    assert run(capsys, [*argv, "m=3"])[:2] == (0, "P_0 = 1\nP_1 = 3\nP_2 = 9\n")
+    for value in ("m=\u0663", "m=3_0"):
+        code, out, err = run(capsys, [*argv, value])
+        assert (code, out) == (2, "") and "unexpected character" in err
+
+
 def test_expand_rejects_repeated_at_variable(capsys):
     code, out, err = run(capsys, ["expand", *FIB, "-N", "2", "--at", "x=1,x=2"])
     assert code == 2

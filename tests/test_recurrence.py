@@ -5,8 +5,14 @@ import random
 import pytest
 
 from helpers import random_gf, random_poly
-from ratgen import recurrence
-from ratgen.errors import BadConstantTerm, DegreeTooLarge, NegativeOrder, PowerNotOne
+from ratgen import poly, recurrence, series
+from ratgen.errors import (
+    BadConstantTerm,
+    DegreeTooLarge,
+    MissingVariable,
+    NegativeOrder,
+    PowerNotOne,
+)
 from ratgen.parser import join_in_t, split_in_t
 from ratgen.poly import Polynomial
 from ratgen.recurrence import (
@@ -18,6 +24,7 @@ from ratgen.recurrence import (
     expand_inverse,
     identity_residual,
     iter_family,
+    iter_values,
     raise_denominator,
     render_recurrence,
 )
@@ -359,6 +366,54 @@ def test_iter_family_raises_at_the_call_for_every_power():
         assert len(list(iter_family(gf, 1))) == 2
         with pytest.raises(DegreeTooLarge):
             iter_family(gf, 2)
+
+
+def random_valued_gf(rng: random.Random) -> tuple[RationalGF, dict[str, int], int]:
+    """h in 1..5, n <= 3, m <= 2, 1-3 names, a point with 0 and negative values."""
+    names = ("x", "y", "z")[: rng.randint(1, 3)]
+    num = [random_poly(rng, names) for _ in range(rng.randint(1, 3))]
+    den = [one] + [random_poly(rng, names) for _ in range(rng.randint(0, 3))]
+    point = {name: rng.choice((0, -1, 1, -3, 2, 5, -7)) for name in names}
+    return RationalGF(num, den, rng.randint(1, 5)), point, rng.randint(0, 20)
+
+
+def test_iter_values_equals_the_evaluated_expansion():
+    rng = random.Random(1017)
+    for _ in range(40):
+        gf, point, N = random_valued_gf(rng)
+        values = iter_values(gf, point, N)
+        assert not isinstance(values, (list, tuple))
+        expected = [p.evaluate(point) for p in expand_family(gf, N)]
+        assert list(values) == expected, (gf, point, N)
+
+
+def test_iter_values_raises_at_the_call():
+    gf = RationalGF((x,), (one, -x, -Polynomial.variable("y")), 3)
+    with pytest.raises(NegativeOrder, match="^order must be nonnegative, got -1$"):
+        iter_values(gf, {"x": 1, "y": 1}, -1)
+    with pytest.raises(MissingVariable, match="^no value assigned for: y$"):
+        iter_values(gf, {"x": 1, "z": 1}, 3)
+    # 2/(1 - 2t)^3: 2 * C(k+2, 2) * 2^k
+    assert list(iter_values(gf, {"x": 2, "y": 0, "z": 1}, 3)) == [2, 12, 48, 160]
+
+
+def test_iter_values_runs_no_engine_kernel(monkeypatch):
+    rng = random.Random(2718)
+    cases = [random_valued_gf(rng) for _ in range(10)]
+    expected = [[p.evaluate(point) for p in expand_family(gf, N)]
+                for gf, point, N in cases]
+
+    def refuse(*args):
+        raise AssertionError("the value stream ran an engine kernel")
+
+    for module in (poly, recurrence, series):
+        monkeypatch.setattr(module, "add_product_into", refuse)
+    monkeypatch.setattr(recurrence, "_iter_power", refuse)  # Miller's loop on polynomials
+    monkeypatch.setattr(series, "iter_convolve", refuse)
+    monkeypatch.setattr(recurrence, "iter_convolve", refuse)
+    monkeypatch.setattr(Recurrence, "iter_terms", refuse)
+    for (gf, point, N), want in zip(cases, expected):
+        assert list(iter_values(gf, point, N)) == want
 
 
 def test_iter_terms_raises_at_the_call_not_at_the_first_term():
