@@ -26,7 +26,6 @@ from .poly import Polynomial, require_values, validate_variable_name
 from .recurrence import (
     RationalGF,
     convolve_numerator,
-    derive_recurrence,
     expand_family,
     expand_inverse,
     identity_residual,
@@ -283,10 +282,9 @@ def _cmd_expand(args: argparse.Namespace) -> int:
 
 def _cmd_recurrence(args: argparse.Namespace) -> int:
     gf = _gf_from_args(args)
-    rec = derive_recurrence(gf)
-    print(render_recurrence(rec))
-    print(f"order: {rec.order}")
-    print(f"forcing cutoff: {rec.forcing_cutoff}")
+    print(render_recurrence(gf))
+    print(f"order: {gf.power * gf.n}")  # the degree of B^h in t
+    print(f"forcing cutoff: {gf.m}")
     return 0
 
 

@@ -8,16 +8,16 @@ polynomials of f obey
 where D = B^h is again a polynomial in t with constant term 1 (D = B for
 h = 1).  This module derives that recursion as data, with D built by
 Miller's power recurrence and only up to the order a reader needs, and
-renders it.  The expansion runs the recursion for h = 1.  For h > 1 it never
-builds D: it streams G = B^-h by Miller's recurrence from B itself, which
-costs n small products per order instead of up to h*n large ones, and
-convolves A with it.  Substituting integers for the variables is a ring
-homomorphism that keeps B_0 = 1, so the same power recurrence, run on the
-plain integers a = A(point) and b = B(point), yields the values
-P_0(point)..P_N(point) without building any P_k.  The module also computes
-the companion identities used for cross-checking: the inverse sequence Q of
-1/B, the numerator convolution that rebuilds P from Q, and the residual that
-must vanish identically.
+renders it with initial values taken from the expansion.  The expansion runs
+the recursion for h = 1.  For h > 1 it never builds D: it streams G = B^-h
+by Miller's recurrence from B itself, which costs n small products per order
+instead of up to h*n large ones, and convolves A with it.  Substituting
+integers for the variables is a ring homomorphism that keeps B_0 = 1, so the
+same power recurrence, run on the plain integers a = A(point) and
+b = B(point), yields the values P_0(point)..P_N(point) without building any
+P_k.  The module also computes the companion identities used for
+cross-checking: the inverse sequence Q of 1/B, the numerator convolution
+that rebuilds P from Q, and the residual that must vanish identically.
 """
 
 from __future__ import annotations
@@ -103,12 +103,6 @@ class RationalGF:
             raise NegativeOrder(f"order must be nonnegative, got {N}")
         return self.denominator[: N + 1]
 
-    def reduced(self) -> RationalGF:
-        """The equivalent generating function with power 1."""
-        if self.power == 1:
-            return self
-        return RationalGF(self.numerator, self.reduced_denominator(), 1)
-
 
 @dataclass(frozen=True)
 class Recurrence:
@@ -137,9 +131,9 @@ class Recurrence:
     def iter_terms(self, N: int) -> Iterator[Polynomial]:
         """Yield P_0..P_N, holding only the last ``order`` of them.
 
-        The engine's one recurrence loop; :meth:`expand` runs through it.  A
-        negative N or a degree past the bound raises at the call, before the
-        first term."""
+        The engine's recurrence loop, which :func:`iter_family` runs for
+        h = 1.  A negative N or a degree past the bound raises at the call,
+        before the first term."""
         if N < 0:
             raise NegativeOrder(f"order must be nonnegative, got {N}")
         feedback, forcing = self.feedback, self.forcing
@@ -161,10 +155,6 @@ class Recurrence:
                 yield p
 
         return terms()
-
-    def expand(self, N: int) -> SeriesPrefix:
-        """Run the stored recursion; reproduces the source expansion."""
-        return SeriesPrefix(tuple(self.iter_terms(N)))
 
 
 def raise_denominator(
@@ -334,33 +324,34 @@ def derive_recurrence(gf: RationalGF, N: int | None = None) -> Recurrence:
     return Recurrence(feedback, gf.numerator)
 
 
-def render_recurrence(rec: Recurrence) -> str:
-    """Table-style one-liner, e.g. ``P_k = x*P_{k-1} + P_{k-2} (k >= 2); P_0 = 0; P_1 = 1``."""
+def render_recurrence(gf: RationalGF) -> str:
+    """Table-style one-liner, e.g. ``P_k = x*P_{k-1} + P_{k-2} (k >= 2); P_0 = 0; P_1 = 1``.
+
+    The feedback is read from B^h, folded once; the initial values P_0..P_{s-1},
+    s = :meth:`Recurrence.homogeneous_from`, come from :func:`iter_family`.
+    """
     from .parser import format_poly
 
-    start = rec.homogeneous_from()
+    rec = derive_recurrence(gf)
+    start = rec.homogeneous_from()  # >= 1 since the numerator is nonempty
     pieces: list[tuple[str, str]] = []
     for j, coeff in enumerate(rec.feedback, start=1):
         if coeff.is_zero():
             continue
         ref = f"P_{{k-{j}}}"
-        terms = list(coeff.items())
-        if len(terms) == 1:
-            mono, c = terms[0]
-            sign = "-" if c < 0 else "+"
-            body = format_poly(Polynomial({mono: abs(c)}))
+        text = format_poly(coeff)
+        if len(coeff) == 1:  # a single term's minus goes into the separator
+            sign, body = ("-", text[1:]) if text[0] == "-" else ("+", text)
             pieces.append((sign, ref if body == "1" else f"{body}*{ref}"))
         else:
-            pieces.append(("+", f"({format_poly(coeff)})*{ref}"))
+            pieces.append(("+", f"({text})*{ref}"))
     if not pieces:
         rhs = "0"
     else:
         first_sign, first_body = pieces[0]
         rhs = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in pieces[1:]:
-            rhs += f" {sign} {body}"
-    line = f"P_k = {rhs} (k >= {start})"
-    initial = rec.expand(start - 1)  # start >= 1 since forcing is nonempty
-    for k in range(start):
-        line += f"; P_{k} = {format_poly(initial[k])}"
-    return line
+        rhs += "".join(f" {sign} {body}" for sign, body in pieces[1:])
+    initial = "".join(
+        f"; P_{k} = {format_poly(p)}" for k, p in enumerate(iter_family(gf, start - 1))
+    )
+    return f"P_k = {rhs} (k >= {start}){initial}"

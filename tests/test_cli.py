@@ -282,6 +282,18 @@ def test_recurrence_gen_catalan_m3(capsys):
     )
 
 
+def test_recurrence_takes_higher_powers_from_the_stream(capsys, monkeypatch):
+    argv = ["recurrence", "--num", "1+y*t", "--den", "1-x*t-y*t^2", "--pow", "3"]
+    code, out, _ = run(capsys, argv)
+
+    def refuse(*args):
+        raise AssertionError("h > 1 ran the order-h*n recurrence")
+
+    monkeypatch.setattr(recurrence.Recurrence, "iter_terms", refuse)
+    assert run(capsys, argv) == (code, out, "")
+    assert code == 0
+
+
 def test_verify_all_passes(capsys):
     code, out, _ = run(capsys, ["verify", *FIB, "-N", "24", "--oracle", "all"])
     assert code == 0

@@ -86,6 +86,9 @@ def golden_argv() -> list[list[str]]:
         for oracle in ORACLES:
             cases.append(["verify", *gf, "--pow", str(1 + i % 3), "-N", "5",
                           "--oracle", oracle])
+    for h in (20, 50):
+        cases.append(["recurrence", "--num", "1", "--den", "1 - x*t - y*t^2",
+                      "--pow", str(h)])
     cases.append(["verify", *FIB, "-N", "14", "--oracle", "all"])
     cases.append(["verify", *FIB, "-N", "13", "--oracle", "multinomial", "--force"])
     cases.append(["family", "list"])

@@ -102,7 +102,8 @@ def test_oracles_use_neither_engine_kernel(monkeypatch):
 
     rng = random.Random(8128)
     cases = [(random_denominator(rng), rng.randint(0, 8)) for _ in range(10)]
-    monkeypatch.setattr(Recurrence, "expand", refuse)
+    monkeypatch.setattr(Recurrence, "iter_terms", refuse)  # the recurrence loop
+    monkeypatch.setattr(recurrence, "raise_denominator", refuse)  # the power fold
     for B, N in cases:
         inv = geometric_inverse(B, N)
         b_series = SeriesPrefix.from_polynomials(B, N)
@@ -206,20 +207,20 @@ def test_kernels_check_the_degree_bound_before_their_loops():
     B2 = (one, zero, -half)  # the degree grows by deg B_2 / 2 per order
     assert geometric_inverse(B, 1)[1] == half
     assert raise_denominator(B, 2, 1)[1] == Polynomial.constant(-2) * half
-    assert Recurrence((half,), (one,)).expand(1)[1] == half
+    assert list(Recurrence((half,), (one,)).iter_terms(1))[1] == half
     assert convolve((half,), (one,), 0) == [half]
     assert geometric_inverse(B2, 3)[2] == half
     assert raise_denominator(B2, 2, 3)[2] == Polynomial.constant(-2) * half
-    assert Recurrence((zero, half), (one,)).expand(3)[2] == half
+    assert list(Recurrence((zero, half), (one,)).iter_terms(3))[2] == half
     for kernel in (
         lambda: geometric_inverse(B, 2),  # N * deg B_1
         lambda: multinomial_inverse(B, 2),  # through Polynomial.__mul__
         lambda: raise_denominator(B, 2),  # top order * deg B_1
-        lambda: Recurrence((half,), (one,)).expand(2),  # forcing + N * deg feedback_1
+        lambda: Recurrence((half,), (one,)).iter_terms(2),  # forcing + N * deg feedback_1
         lambda: convolve((half,), (half,), 0),  # deg a + deg b
         lambda: geometric_inverse(B2, 4),  # 4 * deg B_2 / 2
         lambda: raise_denominator(B2, 2),
-        lambda: Recurrence((zero, half), (one,)).expand(4),
+        lambda: Recurrence((zero, half), (one,)).iter_terms(4),
     ):
         with pytest.raises(DegreeTooLarge):
             kernel()
