@@ -310,17 +310,18 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     gf = _gf_from_args(args)
     N = args.N
     selected = args.oracle
-    # the engine expands from B itself; every oracle reads D = B^h, folded
-    # once and only to order N, so a wrong fold fails the check
+    # the engine expands from B itself by Miller's recurrence; the power
+    # oracles build B^-h from B and h, and the convolution and residual ones
+    # read D = B^h, folded once and only to order N
+    B, h = gf.denominator, gf.power
     reduced = RationalGF(gf.numerator, gf.reduced_denominator(N))
-    D = reduced.denominator
     engine = expand_family(gf, N)
     inverse = None  # Q, built once for the convolution and residual oracles
-    geometric = None  # 1/B by the geometric sum, built once for two oracles
+    geometric = None  # B^-h by the geometric sum, built once for two oracles
 
     ok = True
     if selected in ("geometric", "all"):
-        geometric = geometric_inverse(D, N)
+        geometric = geometric_inverse(B, N, h)
         oracle = convolve_numerator(gf.numerator, geometric)
         ok &= _report("geometric", engine, oracle, f"N={N}")
     if selected in ("multinomial", "all"):
@@ -334,12 +335,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 )
             n_m = MULTINOMIAL_ORDER_CAP
             note = f"capped at N={n_m}"
-        lhs = multinomial_inverse(D, n_m)
-        rhs = (geometric_inverse(D, n_m) if geometric is None
+        lhs = multinomial_inverse(B, n_m, h)
+        rhs = (geometric_inverse(B, n_m, h) if geometric is None
                else geometric.truncate(n_m))
         ok &= _report("multinomial", lhs, rhs, note)
     if selected in ("convolution", "all"):
-        inverse = expand_inverse(D, N)
+        inverse = expand_inverse(reduced.denominator, N)
         oracle = convolve_numerator(gf.numerator, inverse)
         ok &= _report("convolution", engine, oracle, f"N={N}")
     if selected in ("residual", "all"):

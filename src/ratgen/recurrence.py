@@ -13,18 +13,18 @@ the recursion for h = 1.  For h > 1 it never builds D: it streams G = B^-h
 by Miller's recurrence from B itself, which costs n small products per order
 instead of up to h*n large ones, and convolves A with it.  Substituting
 integers for the variables is a ring homomorphism that keeps B_0 = 1, so the
-same power recurrence, run on the plain integers a = A(point) and
-b = B(point), yields the values P_0(point)..P_N(point) without building any
-P_k.  The module also computes the companion identities used for
-cross-checking: the inverse sequence Q of 1/B, the numerator convolution
-that rebuilds P from Q, and the residual that must vanish identically.
+same recursions, run on the plain integers a = A(point) and b = B(point),
+yield the values P_0(point)..P_N(point) without building any P_k.  The
+module also computes the companion identities used for cross-checking: the
+inverse sequence Q of 1/B, the numerator convolution that rebuilds P from
+Q, and the residual that must vanish identically.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 from operator import mul
 from typing import Iterator, Mapping, Sequence
 
@@ -224,8 +224,9 @@ def iter_values(gf: RationalGF, point: Mapping[str, int], N: int) -> Iterator[in
     """Yield P_0(point)..P_N(point) as ints, with no Polynomial arithmetic.
 
     The values are the coefficients of a / b^h with a = A(point) and
-    b = B(point), a series over the integers with b_0 = 1.  G = b^-h comes
-    from Miller's recurrence,
+    b = B(point), a series over the integers with b_0 = 1.  For h = 1 they
+    obey P_k = a_k - sum_j b_j*P_{k-j}, run on the last n values.  For
+    h > 1, G = b^-h comes from Miller's recurrence,
 
         k*G_k = sum_{j=1..min(n,k)} ((1-h)*j - k) * b_j * G_{k-j},
 
@@ -241,6 +242,8 @@ def iter_values(gf: RationalGF, point: Mapping[str, int], N: int) -> Iterator[in
         raise NegativeOrder(f"order must be nonnegative, got {N}")
     A, B, h = gf.numerator, gf.denominator, gf.power
     require_values(chain.from_iterable(p.variables() for p in A + B), point)
+    if h == 1:
+        return _recurrence_values(A, B, point, N)
 
     def values() -> Iterator[int]:
         a = [A[0].evaluate(point)]  # a_0..a_min(k, m)
@@ -262,6 +265,24 @@ def iter_values(gf: RationalGF, point: Mapping[str, int], N: int) -> Iterator[in
             yield sum(map(mul, a, window))
 
     return values()
+
+
+def _recurrence_values(
+    A: Sequence[Polynomial], B: Sequence[Polynomial], point: Mapping[str, int], N: int
+) -> Iterator[int]:
+    """:func:`iter_values` for h = 1: P_k = a_k - sum_{j=1..min(n,k)} b_j*P_{k-j}.
+
+    The values themselves are the window, so their size follows P_k and not
+    the series 1/b, which grows with k when A and B share a factor."""
+    a = chain((p.evaluate(point) for p in A), repeat(0))  # a_0, a_1, ..
+    b: list[int] = []  # b_1..b_min(k, n)
+    window: deque[int] = deque(maxlen=len(B) - 1)  # P_{k-1}, P_{k-2}, ..
+    for k, a_k in zip(range(N + 1), a):  # range first: A_k is read at order k
+        if 0 < k < len(B):
+            b.append(B[k].evaluate(point))
+        p = a_k - sum(map(mul, b, window))
+        window.appendleft(p)
+        yield p
 
 
 def expand_family(gf: RationalGF, N: int) -> SeriesPrefix:
@@ -291,10 +312,11 @@ def identity_residual(
     P and Q are the expansion of gf and the inverse sequence of its
     denominator to order N, the series the identity checks; each one not
     given is computed here.  The double sum
-    sum_{j>=1} sum_l B_j A_l Q_{k-j-l} is order k of ((B - 1) * A) * Q, so
-    the inner products B_j A_l are formed once.  Returns the residual
-    series rather than a boolean so a failure shows exactly which order
-    and which polynomial disagree.
+    sum_{j>=1} sum_l B_j A_l Q_{k-j-l} is order k of A * ((B - 1) * Q):
+    both factors of every product are then a coefficient of the input and
+    one series term, never a product of two coefficients.  Returns the
+    residual series rather than a boolean so a failure shows exactly which
+    order and which polynomial disagree.
     """
     if gf.power != 1:
         raise PowerNotOne(
@@ -307,8 +329,8 @@ def identity_residual(
         P = expand_family(gf, N)
     if Q is None:
         Q = expand_inverse(B, N)
-    C = convolve((_ZERO,) + B[1:], A, gf.n + m)  # (B - 1) * A
-    rhs = convolve(C, Q.coeffs, N)
+    E = convolve((_ZERO,) + B[1:], Q.coeffs, N)  # (B - 1) * Q
+    rhs = convolve(A, E, N)
     return SeriesPrefix(
         (A[k] if k <= m else _ZERO) - P[k] - rhs[k] for k in range(N + 1)
     )

@@ -5,11 +5,13 @@ whose coefficients are t-free polynomials.  All identities here are exact;
 no convergence argument is needed because every computation touches only
 finitely many orders.
 
-Two independent constructions invert an admissible denominator (constant
-term 1): :func:`geometric_inverse` sums powers of ``1 - B`` and
-:func:`multinomial_inverse` enumerates the multinomial expansion of those
-powers directly.  They exist to cross-check the recurrence engine and each
-other, so neither is allowed to use the recurrence or :func:`convolve`.
+Two independent constructions give B^-h for an admissible denominator B
+(constant term 1) and a power h >= 1, reading B and h themselves:
+:func:`geometric_inverse` sums powers of ``1 - B`` and raises that sum to h
+by binary powering, and :func:`multinomial_inverse` sums the generalized
+binomial series of ``(1 - (1 - B))^-h`` term by term.  They exist to
+cross-check the recurrence engine and each other, so neither is allowed to
+use the recurrence, Miller's power loop or :func:`convolve`.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
+from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from .errors import BadConstantTerm, NegativeOrder, OrderMismatch
@@ -141,82 +144,121 @@ def _check_denominator(B: Sequence[Polynomial]) -> None:
         raise BadConstantTerm("denominator constant term must be 1")
 
 
-def geometric_inverse(B: Sequence[Polynomial], N: int) -> SeriesPrefix:
-    """1/B up to order N via the geometric sum of powers of h = 1 - B.
-
-    h is divisible by t, so h^k contributes nothing below order k and the
-    partial sum over k <= N already fixes every requested coefficient.
-    """
+def _check_oracle(B: Sequence[Polynomial], N: int, h: int) -> None:
     _check_denominator(B)
     if N < 0:
         raise NegativeOrder(f"order must be nonnegative, got {N}")
-    check_degree(growth_degree(B[1:], N))
-    n = len(B) - 1
-    h = [Polynomial.zero()] + [-B[l] for l in range(1, n + 1)]
-    total = [Polynomial.one()] + [Polynomial.zero()] * N
-    power = list(total)  # h^0
-    for k in range(1, N + 1):
+    if h < 1:
+        raise ValueError(f"power must be a positive integer, got {h}")
+
+
+def _nonzero_terms(B: Sequence[Polynomial], N: int) -> list[tuple[int, Polynomial]]:
+    """(l, H_l) for each nonzero order 1 <= l <= N of H = 1 - B, in increasing l."""
+    return [(l, -B[l]) for l in range(1, min(len(B) - 1, N) + 1) if B[l]]
+
+
+def geometric_inverse(
+    B: Sequence[Polynomial], N: int, h: int = 1
+) -> SeriesPrefix:
+    """B^-h up to order N: the geometric sum of the powers of H = 1 - B,
+    raised to h by binary powering.
+
+    H is divisible by t^low, its lowest order, so H^k contributes nothing
+    below order k*low and the partial sum over k <= N/low already fixes
+    every requested coefficient; only B_0..B_min(n, N) are read.  Every
+    order of 1/B, and of each power of it, has degree at most
+    N * max_j deg B_j / j, so one bound covers them all.
+    """
+    _check_oracle(B, N, h)
+    check_degree(growth_degree(B[1 : N + 1], N))
+    H = _nonzero_terms(B, N)
+    low = H[0][0] if H else N + 1  # H^k vanishes below order k*low
+    one = Polynomial.one()
+    sums: list[RawTerms] = [{} for _ in range(N + 1)]  # orders of sum_{k>=1} H^k
+    power = [one] + [Polynomial.zero()] * N  # H^0
+    for k in range(1, N // low + 1):
         nxt = [Polynomial.zero()] * (N + 1)
-        for d in range(k, N + 1):
+        for d in range(k * low, N + 1):
             acc: RawTerms = {}
-            # h^k = h^(k-1) * h; h^(k-1) vanishes below order k-1
-            for l in range(1, min(n, d - k + 1) + 1):
-                add_product_into(acc, h[l], power[d - l])
+            # H^k = H^(k-1) * H, and H^(k-1) vanishes below order (k-1)*low
+            for l, coeff in H:
+                if l > d - (k - 1) * low:
+                    break
+                add_product_into(acc, coeff, power[d - l])
             nxt[d] = Polynomial.from_raw(acc)
+            add_product_into(sums[d], one, nxt[d])
         power = nxt
-        for d in range(k, N + 1):
-            total[d] = total[d] + power[d]
-    return SeriesPrefix(total)
+    inverse = [one] + [Polynomial.from_raw(acc) for acc in sums[1:]]
+    result = inverse
+    for bit in bin(h)[3:]:  # left to right, after the leading 1
+        result = _truncated_square(result)
+        if bit == "1":
+            result = _truncated_product(result, inverse)
+    return SeriesPrefix(result)
 
 
-def multinomial_inverse(B: Sequence[Polynomial], N: int) -> SeriesPrefix:
-    """1/B up to order N via explicit multinomial expansion of (1-B)^k.
+def _truncated_product(
+    a: Sequence[Polynomial], b: Sequence[Polynomial]
+) -> list[Polynomial]:
+    """Orders 0..N of a * b, both of N + 1 orders; the geometric oracle's own."""
+    out = []
+    for d in range(len(a)):
+        acc: RawTerms = {}
+        for i in range(d + 1):
+            add_product_into(acc, a[i], b[d - i])
+        out.append(Polynomial.from_raw(acc))
+    return out
 
-    Enumerates exponent tuples (j_1..j_n) in lexicographic order, pruning on
-    weighted degree j_1 + 2*j_2 + ... + n*j_n > N.  Each tuple contributes
-    (-1)^k * k!/(j_1!...j_n!) * B_1^{j_1}...B_n^{j_n} at its weighted degree,
-    with k = j_1 + ... + j_n.  Exponential in n; meant for desk-scale checks.
+
+def _truncated_square(a: Sequence[Polynomial]) -> list[Polynomial]:
+    """Orders 0..N of a^2: each pair a_i * a_j with i < j is formed once."""
+    out = []
+    for d in range(len(a)):
+        acc: RawTerms = {}
+        for i in range((d + 1) // 2):  # i < d - i
+            add_product_into(acc, a[i], a[d - i])
+        acc = {m: c + c for m, c in acc.items()}
+        if d % 2 == 0:
+            add_product_into(acc, a[d // 2], a[d // 2])
+        out.append(Polynomial.from_raw(acc))
+    return out
+
+
+def multinomial_inverse(
+    B: Sequence[Polynomial], N: int, h: int = 1
+) -> SeriesPrefix:
+    """B^-h up to order N by the generalized binomial series of (1 - H)^-h.
+
+    With H = 1 - B, order k of B^-h is the sum over exponent tuples
+    (j_1..j_n) of weight j_1 + 2*j_2 + ... + n*j_n = k of
+
+        h^(s) / (j_1! ... j_n!) * (-B_1)^j_1 ... (-B_n)^j_n,
+
+    where s = j_1 + ... + j_n and h^(s) = h*(h+1)*..*(h+s-1) is the rising
+    factorial (Comtet, *Advanced Combinatorics*, 1974); at h = 1 it is
+    s!/(j_1!...j_n!), the multinomial expansion of sum_s H^s.  Only
+    B_0..B_min(n, N) are read.  The tuples are walked depth first with an
+    explicit stack, so no recursion limit applies, and each tuple costs one
+    product.  Exponential in n; meant for desk-scale checks.
     """
-    _check_denominator(B)
-    if N < 0:
-        raise NegativeOrder(f"order must be nonnegative, got {N}")
-    n = len(B) - 1
-    out = [Polynomial.zero()] * (N + 1)
-    out[0] = Polynomial.one()
-    if n == 0:
-        return SeriesPrefix(out)
-
-    fact = [1] * (N + 1)
-    for i in range(1, N + 1):
-        fact[i] = fact[i - 1] * i
-
-    # B_l powers, computed on demand: powers[l][j] = B_l^j
-    powers: list[list[Polynomial]] = [[Polynomial.one()] for _ in range(n + 1)]
-
-    def power_of(l: int, j: int) -> Polynomial:
-        cache = powers[l]
-        while len(cache) <= j:
-            cache.append(cache[-1] * B[l])
-        return cache[j]
-
-    # denom accumulates j_1!...j_l!; the multinomial k!/denom is exact.
-    def enumerate_from(l: int, weighted: int, k: int, denom: int, prod: Polynomial) -> None:
-        if l > n:
-            if k > 0:
-                coeff = fact[k] // denom
-                sign = -1 if k % 2 else 1
-                out[weighted] = out[weighted] + prod.scale(sign * coeff)
-            return
-        j = 0
-        while weighted + l * j <= N:
-            enumerate_from(
-                l + 1,
-                weighted + l * j,
-                k + j,
-                denom * fact[j],
-                prod * power_of(l, j) if j else prod,
-            )
-            j += 1
-
-    enumerate_from(1, 0, 0, 1, Polynomial.one())
-    return SeriesPrefix(out)
+    _check_oracle(B, N, h)
+    factors = _nonzero_terms(B, N)
+    fact = list(accumulate(range(1, N + 1), mul, initial=1))
+    rising = list(accumulate(range(h, h + N), mul, initial=1))  # h^(s)
+    out: list[RawTerms] = [{} for _ in range(N + 1)]
+    # a tuple whose last nonzero exponent sits before factors[start]; its
+    # weight, s, j_1!..j_n! and product (-B_1)^j_1..(-B_n)^j_n
+    stack = [(0, 0, 0, 1, Polynomial.one())]
+    while stack:
+        start, weight, s, denom, prod = stack.pop()
+        add_product_into(out[weight], Polynomial.constant(rising[s] // denom), prod)
+        for i in range(start, len(factors)):
+            l, factor = factors[i]
+            if weight + l > N:
+                break  # and so does every later l
+            j, power = 1, prod
+            while weight + l * j <= N:
+                power = power * factor
+                stack.append((i + 1, weight + l * j, s + j, denom * fact[j], power))
+                j += 1
+    return SeriesPrefix([Polynomial.from_raw(acc) for acc in out])

@@ -7,6 +7,7 @@ import sys
 import tracemalloc
 from contextlib import redirect_stdout
 from pathlib import Path
+from time import perf_counter
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,9 @@ from jsonschema import validate
 
 from ratgen import cli, recurrence, series
 from ratgen.cli import main
+from ratgen.parser import format_poly, parse_poly, split_in_t
 from ratgen.poly import MAX_VARIABLES, Polynomial
+from ratgen.recurrence import RationalGF, expand_family
 from ratgen.series import SeriesPrefix
 
 OUTPUT_SCHEMA = {
@@ -150,6 +153,22 @@ AT_CORNERS = [
 ])
 def test_at_corner_cases_keep_their_output(capsys, argv, code, out, err):
     assert run(capsys, ["expand", *argv]) == (code, out, err)
+
+
+def test_at_values_stay_small_when_a_and_b_share_a_factor(capsys):
+    # at h = 1 the values run P_k = a_k - sum_j b_j*P_{k-j} on the integers, so
+    # they are as small as P_k; the series 1/b(point) grows with k instead
+    num = den = "1-x*t"
+    point, N = {"x": 99999999999}, 20000
+    start = perf_counter()
+    code, out, err = run(capsys, ["expand", "--num", num, "--den", den, "-N", str(N),
+                                  "--at", f"x={point['x']}"])
+    elapsed = perf_counter() - start
+    assert (code, err) == (0, "")
+    gf = RationalGF(split_in_t(parse_poly(num)), split_in_t(parse_poly(den)))
+    assert out.splitlines() == [f"P_{k} = {format_poly(p)} = {p.evaluate(point)}"
+                                for k, p in enumerate(expand_family(gf, N))]
+    assert elapsed < 1.5
 
 
 def test_a_failing_value_draws_no_later_row(capsys, monkeypatch):
@@ -526,7 +545,8 @@ def test_verify_expands_p_and_q_once(capsys, monkeypatch):
 
 
 def test_verify_catches_a_wrong_power_fold(capsys, monkeypatch):
-    # the engine expands A/B^h from B; the oracles read the fold D = B^h
+    # the engine expands A/B^h from B, and so do the power oracles; the
+    # convolution and residual oracles read the fold D = B^h
     real = recurrence.raise_denominator
 
     def one_power_short(B, h, N=None):
@@ -539,13 +559,45 @@ def test_verify_catches_a_wrong_power_fold(capsys, monkeypatch):
     assert code == 1
     lines = out.splitlines()
     assert [line.split(":")[0] for line in lines] == [
-        "FAIL geometric", "PASS multinomial (N=10)", "FAIL convolution", "FAIL residual"
+        "PASS geometric (N=10)", "PASS multinomial (N=10)", "FAIL convolution",
+        "FAIL residual"
     ]
-    assert all("first difference at k=2" in lines[i] for i in (0, 2, 3))
+    assert all("first difference at k=2" in lines[i] for i in (2, 3))
     code, out, _ = run(capsys, ["expand", "--num", "1", "--den", "1-t", "--pow", "3",
                                 "-N", "4"])
     assert (code, out) == (0, "".join(f"P_{k} = {v}\n"
                                       for k, v in enumerate((1, 3, 6, 10, 15))))
+
+
+def test_verify_reads_the_denominator_only_to_order_n(capsys):
+    # B_2000 lies past N = 3, and the oracles read B only to order N
+    code, out, err = run(capsys, ["verify", "--num", "1", "--den", "1-t^2000",
+                                  "--pow", "2", "-N", "3", "--oracle", "all"])
+    assert (code, err) == (0, "")
+    assert out == "".join(f"PASS {name} (N=3)\n" for name in
+                          ("geometric", "multinomial", "convolution", "residual"))
+
+
+def test_verify_catches_a_wrong_engine_power(capsys, monkeypatch):
+    # the engine streams B^-h by Miller's loop and the power oracles build it
+    # without that loop, so an engine one power short fails the geometric
+    # check; multinomial compares the two oracles and passes
+    real = recurrence._iter_power
+
+    def one_power_short(B, h, top):
+        return real(B, h + 1 if h < 0 else h, top)
+
+    monkeypatch.setattr(recurrence, "_iter_power", one_power_short)
+    code, out, _ = run(capsys, [
+        "verify", *FIB, "--pow", "3", "-N", "10", "--oracle", "all"
+    ])
+    assert code == 1
+    lines = out.splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        "FAIL geometric", "PASS multinomial (N=10)", "FAIL convolution",
+        "FAIL residual"
+    ]
+    assert all("first difference at k=2" in lines[i] for i in (0, 2, 3))
 
 
 def test_high_power_expansion_does_linear_work_per_order(capsys, monkeypatch):
@@ -649,9 +701,9 @@ def test_verify_all_builds_the_geometric_inverse_once(capsys, monkeypatch):
     orders = []
     real = cli.geometric_inverse
 
-    def counted(B, N):
+    def counted(B, N, h):
         orders.append(N)
-        return real(B, N)
+        return real(B, N, h)
 
     monkeypatch.setattr(cli, "geometric_inverse", counted)
     code, out, _ = run(capsys, ["verify", *FIB, "-N", "20", "--oracle", "all"])

@@ -1,7 +1,13 @@
-"""Module boundaries: only ratgen.poly knows how a monomial is stored, and
-only ratgen.recurrence runs the expansion loops."""
+"""Module boundaries: only ratgen.poly knows how a monomial is stored, only
+ratgen.recurrence runs the expansion loops, and the power oracles of
+ratgen.series name none of the engine's kernels."""
 
+import ast
+import inspect
+import textwrap
 from pathlib import Path
+
+from ratgen import series
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "ratgen"
 INTERNALS = (
@@ -28,3 +34,35 @@ def test_only_poly_touches_the_monomial_representation():
 
 def test_only_recurrence_names_the_expansion_loops():
     assert offenders("recurrence.py", LOOPS) == []
+
+
+# the power oracles check the engine, so they share none of its kernels
+ENGINE_KERNELS = {
+    "convolve", "iter_convolve", "_iter_power", "iter_terms", "raise_denominator",
+    "iter_family", "expand_family",
+}
+
+
+def names_in(fn) -> set[str]:
+    """Every name and attribute the code of ``fn`` mentions (not its docstring)."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+
+
+def test_the_power_oracles_name_no_engine_kernel():
+    seen: dict[str, set[str]] = {}
+    todo = ["geometric_inverse", "multinomial_inverse"]
+    while todo:  # the oracles and every private helper of series they reach
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen[name] = names_in(getattr(series, name))
+        todo += [other for other in seen[name] if other.startswith("_")
+                 and inspect.isfunction(getattr(series, other, None))]
+    assert {"_truncated_square", "_truncated_product", "_nonzero_terms"} <= seen.keys()
+    assert {name: sorted(names & ENGINE_KERNELS) for name, names in seen.items()
+            if names & ENGINE_KERNELS} == {}

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from helpers import random_denominator, random_poly
+from helpers import COEFF_VARS, random_denominator, random_poly
 from ratgen import recurrence, series
 from ratgen.errors import BadConstantTerm, DegreeTooLarge, NegativeOrder, OrderMismatch
 from ratgen.parser import join_in_t, split_in_t
@@ -101,18 +101,57 @@ def test_oracles_use_neither_engine_kernel(monkeypatch):
         raise AssertionError("an oracle ran an engine kernel")
 
     rng = random.Random(8128)
-    cases = [(random_denominator(rng), rng.randint(0, 8)) for _ in range(10)]
-    monkeypatch.setattr(Recurrence, "iter_terms", refuse)  # the recurrence loop
-    monkeypatch.setattr(recurrence, "raise_denominator", refuse)  # the power fold
-    for B, N in cases:
-        inv = geometric_inverse(B, N)
-        b_series = SeriesPrefix.from_polynomials(B, N)
-        assert cauchy_mul(b_series, inv) == SeriesPrefix.identity(N)
-    monkeypatch.setattr(series, "convolve", refuse)
-    monkeypatch.setattr(series, "iter_convolve", refuse)
-    monkeypatch.setattr(recurrence, "_iter_power", refuse)  # Miller's loop
-    for B, N in cases:
-        assert multinomial_inverse(B, N) == geometric_inverse(B, N)
+    cases = [(random_denominator(rng), rng.randint(0, 8), rng.randint(1, 6))
+             for _ in range(16)]
+    assert {h for _, _, h in cases} >= {1, 2, 3, 4, 5, 6}
+    with monkeypatch.context() as patch:
+        patch.setattr(Recurrence, "iter_terms", refuse)  # the recurrence loop
+        patch.setattr(recurrence, "raise_denominator", refuse)  # the power fold
+        patch.setattr(recurrence, "_iter_power", refuse)  # Miller's loop
+        patch.setattr(series, "convolve", refuse)
+        patch.setattr(series, "iter_convolve", refuse)
+        patch.setattr(recurrence, "iter_convolve", refuse)
+        inverses = [(geometric_inverse(B, N, h), multinomial_inverse(B, N, h))
+                    for B, N, h in cases]
+    for (B, N, h), (geometric, multinomial) in zip(cases, inverses):
+        assert multinomial == geometric
+        b_series = SeriesPrefix.from_polynomials(raise_denominator(B, h, N), N)
+        assert cauchy_mul(b_series, geometric) == SeriesPrefix.identity(N)
+
+
+def power_oracle_cases(seed: int, powers, count: int):
+    """(B, N, h): B of degree n <= 3 in t, in 1-3 of the names x, y, z."""
+    rng = random.Random(seed)
+    for h in powers:
+        for _ in range(count):
+            names = COEFF_VARS[: rng.randint(1, 3)]
+            B = [one] + [random_poly(rng, names) for _ in range(rng.randint(0, 3))]
+            yield B, rng.randint(0, 7), h
+
+
+@pytest.mark.parametrize("h", range(1, 7))
+def test_power_oracles_agree_and_invert_b_to_the_h(h):
+    for B, N, h in power_oracle_cases(20261019 + h, [h], 8):
+        geometric = geometric_inverse(B, N, h)
+        assert multinomial_inverse(B, N, h) == geometric
+        # in the t-bearing ring: B^-h * B^h = 1 mod t^(N+1)
+        product = split_in_t(join_in_t(geometric) * join_in_t(B) ** h)
+        assert SeriesPrefix.from_polynomials(product, N) == SeriesPrefix.identity(N)
+
+
+def test_power_oracles_read_b_only_to_order_n():
+    # 1 - t^2000 is 1 to order 3, and so is its power; the oracles read no
+    # order of B past N
+    B = [one] + [zero] * 1999 + [-one]
+    for oracle in (geometric_inverse, multinomial_inverse):
+        assert oracle(B, 3, 2) == SeriesPrefix.identity(3)
+    assert multinomial_inverse(B, 2000, 2)[2000] == Polynomial.constant(2)
+
+
+def test_power_oracles_reject_a_power_below_one():
+    for oracle in (geometric_inverse, multinomial_inverse):
+        with pytest.raises(ValueError, match="power must be a positive integer"):
+            oracle([one, -x], 3, 0)
 
 
 def test_geometric_inverse_of_one_minus_t():

@@ -1,8 +1,9 @@
 """sympy's series expansion as a third oracle for the recurrence engine.
 
 sympy shares no code with ratgen, so agreement here is independent of both
-the recurrence kernel and the two inversion oracles.  The expressions are
-built from ``Polynomial.items()``, not from the formatter or the parser.
+the recurrence kernel and the two power oracles, which it checks too.  The
+expressions are built from ``Polynomial.items()``, not from the formatter or
+the parser.
 sympy is a test-only dependency; without it the test is skipped.
 """
 
@@ -10,8 +11,10 @@ import random
 
 import pytest
 
-from helpers import random_gf
+from helpers import COEFF_VARS, random_gf, random_poly
+from ratgen.poly import Polynomial
 from ratgen.recurrence import RationalGF, expand_family
+from ratgen.series import geometric_inverse, multinomial_inverse
 
 sympy = pytest.importorskip("sympy")
 
@@ -51,3 +54,18 @@ def test_high_power_expansion_matches_sympy_series():
     for h in (2, 3, 4) * 3:
         gf = random_gf(rng)
         check_against_sympy(RationalGF(gf.numerator, gf.denominator, h), 8)
+
+
+def test_power_oracles_match_sympy_series():
+    # both of verify's power oracles build B^-h from B and h
+    rng = random.Random(1974)
+    for h in (2, 3, 4) * 3:
+        names = COEFF_VARS[: rng.randint(1, 3)]
+        B = [Polynomial.one()]
+        B += [random_poly(rng, names) for _ in range(rng.randint(0, 3))]
+        N = rng.randint(0, 7)
+        want = sympy.expand(sympy.series(as_sympy(B) ** -h, t, 0, N + 1).removeO())
+        for oracle in (geometric_inverse, multinomial_inverse):
+            got = oracle(B, N, h)
+            for k in range(N + 1):
+                assert sympy.expand(want.coeff(t, k) - as_sympy([got[k]])) == 0, (B, h, k)
