@@ -17,10 +17,11 @@ meaningful to :func:`split_in_t`.
 
 from __future__ import annotations
 
+import threading
 from functools import lru_cache, partial, reduce
 from itertools import repeat
 from operator import add
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import ExponentTooLarge, NegativeExponent, ParseError, TooManyDigits
 from .poly import RESERVED_VARIABLE, Polynomial
@@ -198,6 +199,40 @@ def _power_text(name: str, e: int) -> str:
     return f"*{name}" if e else ""
 
 
+# _EXPONENT_TEXTS[name][e] is _power_text(name, e), for e from 0 up to the
+# highest exponent of name formatted so far.  The lists hold at most
+# EXPONENT_TEXT_TABLE_SIZE entries between them, a fixed total however many
+# names there are; a column whose exponents would pass that reads its texts
+# from _power_text instead.
+EXPONENT_TEXT_TABLE_SIZE = 1 << 14
+_EXPONENT_TEXTS: dict[str, list[str]] = {}
+_EXPONENT_TEXTS_LOCK = threading.Lock()
+
+
+def _exponent_texts(name: str, top: int) -> list[str] | None:
+    """The texts of name^0..name^top at least, or None if they do not fit."""
+    texts = _EXPONENT_TEXTS.get(name)
+    if texts is not None and top < len(texts):
+        return texts
+    with _EXPONENT_TEXTS_LOCK:
+        texts = _EXPONENT_TEXTS.setdefault(name, [])
+        start = len(texts)
+        if top >= start:
+            held = sum(map(len, _EXPONENT_TEXTS.values()))
+            if held + top + 1 - start > EXPONENT_TEXT_TABLE_SIZE:
+                return None
+            texts.extend(map(_power_text.__wrapped__, repeat(name), range(start, top + 1)))
+    return texts
+
+
+def _column_texts(name: str, column: Sequence[int]) -> Iterator[str]:
+    """The text of name^e for each exponent e of a column, in order."""
+    texts = _exponent_texts(name, max(column))
+    if texts is None:
+        return map(_power_text, repeat(name), column)
+    return map(texts.__getitem__, column)
+
+
 def format_poly(p: Polynomial) -> str:
     """Canonical text for a polynomial; parse_poly round-trips it exactly.
 
@@ -211,8 +246,7 @@ def format_poly(p: Polynomial) -> str:
         return "0"
     # each term's monomial text, "*x^2*y" or "" for the constant term
     monos = reduce(
-        partial(map, add),
-        [map(_power_text, repeat(name), column) for name, column in zip(names, columns)],
+        partial(map, add), map(_column_texts, names, columns)
     ) if names else [""]  # no names: only the constant term
     bodies: list[str] = []
     append = bodies.append

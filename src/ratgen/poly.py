@@ -308,7 +308,11 @@ class Polynomial:
         return cached
 
     def mentions(self, name: str) -> bool:
-        return name in self.variables()
+        cached = self._vars
+        if cached is not None:
+            return name in cached
+        shift = _SHIFTS.get(name)
+        return shift is not None and bool(reduce(or_, self._terms, 0) >> shift & _MASK)
 
     def coefficient(self, mono: Monomial) -> int:
         if any(name not in _SHIFTS for name, e in mono if e):
@@ -345,7 +349,7 @@ class Polynomial:
         if len(variables) <= 1:
             # one variable: its exponent is the degree, so int order is degree order
             order = sorted(terms, reverse=True)
-            coeffs = [terms[m] for m in order]
+            coeffs = list(map(terms.__getitem__, order))
             column = [m & _MASK for m in order]
             return tuple(variables), coeffs, (column,) if variables else ()
         names, read = _layout(variables)
@@ -485,6 +489,10 @@ class Polynomial:
 _ZERO = Polynomial._raw({})
 _ONE = Polynomial._raw({0: 1})
 
+# The fewest terms of the long side for which add_product_into's paths for
+# a one-term side pay for their branches.
+_LONG = 8
+
 
 def add_product_into(acc: RawTerms, p: Polynomial, q: Polynomial) -> None:
     """Accumulate ``p * q`` into a raw term map.
@@ -492,13 +500,37 @@ def add_product_into(acc: RawTerms, p: Polynomial, q: Polynomial) -> None:
     Shared by series convolution and the recurrence loop so long sums of
     products build one dictionary instead of a chain of intermediates.
     The caller checks the degree bound of everything it accumulates.
+
+    A term c*m times a polynomial of at least ``_LONG`` terms, the shape of
+    every recurrence step, skips what it can: into an empty map it is a copy
+    when c*m is 1 and one comprehension otherwise, and into a filled map a
+    c of +-1 adds or subtracts with no multiply.
     """
     pt, qt = p._terms, q._terms
-    if not pt or not qt:
+    lp, lq = len(pt), len(qt)
+    if lp > lq:  # iterate the smaller operand on the outside
+        pt, qt, lp, lq = qt, pt, lq, lp
+    if not lp:
         return
-    if len(pt) > len(qt):  # iterate the smaller operand on the outside
-        pt, qt = qt, pt
     get = acc.get
+    if lp == 1 and lq >= _LONG:
+        [(m1, c1)] = pt.items()
+        if not acc:
+            if m1 == 0 and c1 == 1:
+                acc.update(qt)
+            else:
+                acc.update({m1 + m2: c1 * c2 for m2, c2 in qt.items()})
+            return
+        if c1 == 1:
+            for m2, c2 in qt.items():
+                m = m1 + m2
+                acc[m] = get(m, 0) + c2
+            return
+        if c1 == -1:
+            for m2, c2 in qt.items():
+                m = m1 + m2
+                acc[m] = get(m, 0) - c2
+            return
     for m1, c1 in pt.items():
         for m2, c2 in qt.items():
             m = m1 + m2

@@ -139,17 +139,25 @@ class Recurrence:
         feedback, forcing = self.feedback, self.forcing
         check_degree(max_degree(forcing) + growth_degree(feedback, N))
         one = Polynomial.one()
-        window: deque[Polynomial] = deque(maxlen=self.order)  # P_{k-order}..P_{k-1}
+        # (j, feedback_j) for the nonzero feedback_j, constants first and 1
+        # first among them: the first product lands in an empty map, where
+        # add_product_into copies it or runs one comprehension
+        steps = sorted(
+            ((j, coeff) for j, coeff in enumerate(feedback, 1) if coeff),
+            key=lambda step: (step[1].total_degree(), not step[1].is_one()),
+        )
+        # P_{k-order}..P_{k-1}, with P_{-order}..P_{-1} = 0
+        window: deque[Polynomial] = deque(repeat(_ZERO, self.order), maxlen=self.order)
 
         def terms() -> Iterator[Polynomial]:
             window.append(forcing[0])
             yield forcing[0]
             for k in range(1, N + 1):
                 acc: RawTerms = {}
+                for j, coeff in steps:
+                    add_product_into(acc, coeff, window[-j])
                 if k < len(forcing):
                     add_product_into(acc, forcing[k], one)
-                for coeff, prev in zip(feedback, reversed(window)):
-                    add_product_into(acc, coeff, prev)
                 p = Polynomial.from_raw(acc)
                 window.append(p)
                 yield p

@@ -165,26 +165,31 @@ def geometric_inverse(
 
     H is divisible by t^low, its lowest order, so H^k contributes nothing
     below order k*low and the partial sum over k <= N/low already fixes
-    every requested coefficient; only B_0..B_min(n, N) are read.  Every
+    every requested coefficient; only B_0..B_min(n, N) are read.  Nor does
+    H^k reach past order k*high, the highest of H read, so no order or
+    product outside that band is formed.  Every
     order of 1/B, and of each power of it, has degree at most
     N * max_j deg B_j / j, so one bound covers them all.
     """
     _check_oracle(B, N, h)
     check_degree(growth_degree(B[1 : N + 1], N))
     H = _nonzero_terms(B, N)
-    low = H[0][0] if H else N + 1  # H^k vanishes below order k*low
+    # H^k vanishes outside orders k*low..k*high
+    low, high = (H[0][0], H[-1][0]) if H else (N + 1, 0)
     one = Polynomial.one()
     sums: list[RawTerms] = [{} for _ in range(N + 1)]  # orders of sum_{k>=1} H^k
     power = [one] + [Polynomial.zero()] * N  # H^0
     for k in range(1, N // low + 1):
         nxt = [Polynomial.zero()] * (N + 1)
-        for d in range(k * low, N + 1):
+        for d in range(k * low, min(N, k * high) + 1):
             acc: RawTerms = {}
-            # H^k = H^(k-1) * H, and H^(k-1) vanishes below order (k-1)*low
+            # H^k = H^(k-1) * H, and H^(k-1) vanishes outside orders
+            # (k-1)*low..(k-1)*high
             for l, coeff in H:
                 if l > d - (k - 1) * low:
                     break
-                add_product_into(acc, coeff, power[d - l])
+                if d - l <= (k - 1) * high:
+                    add_product_into(acc, coeff, power[d - l])
             nxt[d] = Polynomial.from_raw(acc)
             add_product_into(sums[d], one, nxt[d])
         power = nxt

@@ -85,6 +85,20 @@ def reference_format(terms: Mapping[Monomial, int]) -> str:
     return text or "0"
 
 
+def reference_product(p: Polynomial, q: Polynomial) -> dict[Monomial, int]:
+    """p * q by a double loop over the terms, as a map from monomials to
+    (possibly zero) coefficients; shares no code with ratgen's kernel."""
+    out: dict[Monomial, int] = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            exponents = dict(m1)
+            for name, e in m2:
+                exponents[name] = exponents.get(name, 0) + e
+            mono = tuple(sorted(exponents.items()))
+            out[mono] = out.get(mono, 0) + c1 * c2
+    return out
+
+
 # -- hypothesis strategies ----------------------------------------------------
 
 def monomials(

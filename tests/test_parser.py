@@ -1,5 +1,6 @@
 """Expression parsing, canonical formatting, and the t-split."""
 
+import json
 import os
 import random
 import string
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from helpers import random_poly, reference_format
 from ratgen.errors import ExponentTooLarge, NegativeExponent, ParseError, TooManyDigits
+from ratgen import parser
 from ratgen.parser import MAX_NESTING, format_poly, join_in_t, parse_poly, split_in_t
 from ratgen.poly import MAX_DEGREE, Polynomial
 
@@ -190,6 +192,57 @@ def test_power_text_cache_stays_bounded_in_a_fresh_interpreter():
     assert texts == f"x^4294901760 x^{MAX_DEGREE}"
     currsize, maxsize = map(int, sizes.split())
     assert 0 < currsize <= maxsize < MAX_DEGREE
+
+
+def test_exponent_text_table_stays_within_its_total_bound():
+    # 200 names, each formatted up to an exponent just under the bound, would
+    # fill 200 tables if the bound were per name; run in a fresh interpreter
+    # so the names and the table start empty, under a 1 GiB address-space limit
+    script = textwrap.dedent("""
+        import json
+        import resource
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        from ratgen import parser
+        from ratgen.poly import MAX_DEGREE, Polynomial
+        bound = parser.EXPONENT_TEXT_TABLE_SIZE
+        out = {}
+        x = Polynomial.variable("x")
+        out["top"] = parser.format_poly(x**MAX_DEGREE)
+        out["past"] = parser.format_poly(x**(bound + 1) - x)
+        names = [f"n{i}" for i in range(200)]
+        exponents = (0, 1, 2, 3, bound // 2, bound - 2, bound - 1)
+        out["texts"] = [
+            parser.format_poly(Polynomial({((name, e),) if e else (): -e or 1 for e in exponents}))
+            for name in names
+        ]
+        tables = parser._EXPONENT_TEXTS
+        out["held"] = sum(map(len, tables.values()))
+        out["exact"] = all(
+            text == parser._power_text(name, e)
+            for name, table in tables.items() for e, text in enumerate(table)
+        )
+        out["tables"] = sorted(name for name, table in tables.items() if table)
+        print(json.dumps(out))
+    """)
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    out = json.loads(done.stdout)
+    bound = parser.EXPONENT_TEXT_TABLE_SIZE
+    assert out["top"] == f"x^{MAX_DEGREE}"
+    assert out["past"] == f"x^{bound + 1} - x"
+    for i, text in enumerate(out["texts"]):
+        n = f"n{i}"
+        assert text == (
+            f"-{bound - 1}*{n}^{bound - 1} - {bound - 2}*{n}^{bound - 2}"
+            f" - {bound // 2}*{n}^{bound // 2} - 3*{n}^3 - 2*{n}^2 - {n} + 1"
+        )
+    assert 0 < out["held"] <= bound
+    assert out["exact"]
+    assert out["tables"] == ["n0"]  # the first name filled the table; the rest fell back
 
 
 def test_round_trip_fixed_cases():

@@ -12,9 +12,15 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 
-from helpers import polynomials, random_poly
+from helpers import polynomials, random_poly, reference_product
 from ratgen.errors import DegreeTooLarge, InvalidVariable, MissingVariable
-from ratgen.poly import MAX_DEGREE, MAX_VARIABLES, Polynomial, validate_variable_name
+from ratgen.poly import (
+    MAX_DEGREE,
+    MAX_VARIABLES,
+    Polynomial,
+    add_product_into,
+    validate_variable_name,
+)
 
 x = Polynomial.variable("x")
 y = Polynomial.variable("y")
@@ -350,3 +356,81 @@ def test_interning_table_is_capped_and_its_last_names_compute_exactly():
         "vars": True,
         "refused": True,
     }
+
+
+# -- the product kernel against a double loop ------------------------------------
+
+
+def poly_of_length(rng: random.Random, n: int) -> Polynomial:
+    """A polynomial in x and y of exactly n terms, with small or 700-bit coefficients."""
+    monos: set = set()
+    while len(monos) < n:
+        monos.add(tuple((v, e) for v in ("x", "y") if (e := rng.randint(0, 12))))
+    big = rng.random() < 0.5
+    return Polynomial({
+        mono: rng.choice((-1, 1)) * rng.randint(1, 2**700 if big else 9) for mono in monos
+    })
+
+
+def monomial_factors(rng: random.Random) -> list[Polynomial]:
+    """Constant 1, -1 and c, and a non-constant monomial with coefficient 1, -1 and c."""
+    c = rng.choice((-1, 1)) * rng.randint(2, 2**700)
+    mono = {"x": rng.randint(0, 3), "y": rng.randint(1, 3)}
+    return [Polynomial.term(k, {}) for k in (1, -1, c)] + [
+        Polynomial.term(k, mono) for k in (1, -1, c)
+    ]
+
+
+@pytest.mark.parametrize("filled", [False, True], ids=["empty_acc", "filled_acc"])
+def test_add_product_into_matches_a_double_loop(filled):
+    rng = random.Random(1307 + filled)
+    # long sides from 0 terms past the monomial paths' threshold, both ways round
+    cases = [
+        (m, poly_of_length(rng, n)) for n in range(0, 21) for m in monomial_factors(rng)
+    ]
+    cases += [(q, m) for m, q in cases[::3]]
+    cases += [
+        (poly_of_length(rng, rng.randint(2, 12)), poly_of_length(rng, rng.randint(2, 12)))
+        for _ in range(30)
+    ]
+    for p, q in cases:
+        acc: dict = {}
+        expected: dict = {}
+        if filled:
+            first, second = poly_of_length(rng, rng.randint(1, 20)), poly_of_length(rng, 2)
+            add_product_into(acc, first, second)
+            expected = reference_product(first, second)
+        add_product_into(acc, p, q)
+        for mono, c in reference_product(p, q).items():
+            expected[mono] = expected.get(mono, 0) + c
+        assert Polynomial.from_raw(acc) == Polynomial(expected), (len(p), len(q))
+
+
+@pytest.mark.parametrize("n", [3, 30])
+def test_add_product_into_cancels_to_zero_and_from_raw_drops_the_zeros(n):
+    rng = random.Random(n)
+    q = poly_of_length(rng, n)
+    for m in monomial_factors(rng):
+        acc: dict = {}
+        add_product_into(acc, m, q)
+        add_product_into(acc, -m, q)  # every sum is 0; the map may keep the keys
+        assert Polynomial.from_raw(acc) == zero and len(Polynomial.from_raw(acc)) == 0
+        # a partial cancellation keeps exactly the terms that survive
+        acc = {}
+        add_product_into(acc, m, q)
+        add_product_into(acc, -m, q - Polynomial.term(1, {"x": 20}))
+        assert Polynomial.from_raw(acc) == m * Polynomial.term(1, {"x": 20})
+        assert len(Polynomial.from_raw(acc)) == 1
+
+
+def test_mentions_reads_the_terms_with_or_without_the_variable_set():
+    three = Polynomial.constant(3)
+    for fresh in (lambda: x**2 * y + three, lambda: Polynomial.term(1, {"x": 2, "y": 1}) + three):
+        p = fresh()  # no variable set computed yet
+        assert [p.mentions(name) for name in ("x", "y", "z", "never_seen_name")] == [
+            True, True, False, False,
+        ]
+        q = fresh()
+        assert q.variables() == {"x", "y"}  # now cached
+        assert [q.mentions(name) for name in ("x", "y", "z")] == [True, True, False]
+    assert not Polynomial.constant(5).mentions("x") and not zero.mentions("x")

@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from helpers import random_gf, random_poly
-from ratgen import poly, recurrence, series
+from helpers import random_gf, random_poly, reference_product
+from ratgen import families, poly, recurrence, series
 from ratgen.errors import (
     BadConstantTerm,
     DegreeTooLarge,
@@ -345,6 +345,42 @@ def test_iter_terms_streams_the_same_terms_as_expand_and_the_oracle():
         assert streamed == list(expand_family(RationalGF(forcing, den), N).coeffs)
         oracle = convolve_numerator(forcing, geometric_inverse(den, N))
         assert streamed == list(oracle.coeffs), (order, m1, N)
+
+
+def reference_terms(rec: Recurrence, N: int) -> list[Polynomial]:
+    """P_0..P_N by P_k = [k <= m] A_k + sum_j feedback_j * P_{k-j}, each
+    product a double loop over the terms (helpers.reference_product)."""
+    P: list[Polynomial] = []
+    for k in range(N + 1):
+        terms = dict(rec.forcing[k].items()) if k < len(rec.forcing) else {}
+        for j, coeff in enumerate(rec.feedback, start=1):
+            if j <= k:
+                for mono, c in reference_product(coeff, P[k - j]).items():
+                    terms[mono] = terms.get(mono, 0) + c
+        P.append(Polynomial(terms))
+    return P
+
+
+CATALOG_CASES = [
+    pytest.param(spec.name, {}, mode, id=f"{spec.name}-{mode}")
+    for spec in families.list_families() for mode in families.MODES
+] + [
+    pytest.param("gen_lucas", {"m": 4}, mode, id=f"gen_lucas-m4-{mode}")  # zero feedback gaps
+    for mode in families.MODES
+] + [
+    pytest.param(  # no constant feedback coefficient
+        "gen_two_var_fibonacci", {"a": 2, "b": 1, "c": 2, "A": Polynomial.variable("y")}, mode,
+        id=f"gen_two_var_fibonacci-a2-b1-c2-Ay-{mode}",
+    )
+    for mode in families.MODES
+]
+
+
+@pytest.mark.parametrize("name,params,mode", CATALOG_CASES)
+def test_iter_terms_matches_a_double_loop_recurrence_on_the_catalog(name, params, mode):
+    gf = families.instantiate(name, params, mode)
+    rec = derive_recurrence(gf)
+    assert list(rec.iter_terms(60)) == reference_terms(rec, 60)
 
 
 def test_iter_family_streams_the_expansion_of_every_power():

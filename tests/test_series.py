@@ -154,6 +154,28 @@ def test_power_oracles_reject_a_power_below_one():
             oracle([one, -x], 3, 0)
 
 
+def test_geometric_inverse_forms_no_product_outside_the_band_of_h_to_the_k(monkeypatch):
+    # H = x*t + y*t^2 + z*t^3 is dense, so every order k..3k of H^k is nonzero:
+    # a product with a zero operand means an order outside that band was visited
+    y, z = Polynomial.variable("y"), Polynomial.variable("z")
+    B = [one, -x, -y, -z]
+    calls = []
+    real = series.add_product_into
+
+    def counted(acc, p, q):
+        calls.append(bool(p) and bool(q))
+        real(acc, p, q)
+
+    monkeypatch.setattr(series, "add_product_into", counted)
+    got = geometric_inverse(B, 12)
+    monkeypatch.undo()
+    assert calls and all(calls)
+    assert got == multinomial_inverse(B, 12)
+    # the same with a gap in H (B_2 = 0) and a power above one
+    B = [one, -x, zero, -z]
+    assert geometric_inverse(B, 12, 3) == multinomial_inverse(B, 12, 3)
+
+
 def test_geometric_inverse_of_one_minus_t():
     assert geometric_inverse([one, -one], 4) == consts(1, 1, 1, 1, 1)
 
