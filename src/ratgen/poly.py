@@ -261,6 +261,20 @@ class Polynomial:
         return cls._raw(terms)
 
     @classmethod
+    def _from_raw_in(cls, terms: RawTerms, names: frozenset[str]) -> Polynomial:
+        """:meth:`from_raw` for a map whose monomials mention no name outside
+        ``names``, a set of at most one name.
+
+        The result caches its exact variable set at no cost: ``names`` if a
+        term is not constant, and the empty set otherwise.
+        """
+        self = cls.from_raw(terms)
+        terms = self._terms
+        variables = names if len(terms) > (0 in terms) else _NO_NAMES
+        object.__setattr__(self, "_vars", variables)
+        return self
+
+    @classmethod
     def join(cls, name: str, seq: Sequence[Polynomial]) -> Polynomial:
         """sum_j seq[j] * name^j; the inverse of :meth:`split`."""
         unit = _unit(name)
@@ -488,6 +502,7 @@ class Polynomial:
 
 _ZERO = Polynomial._raw({})
 _ONE = Polynomial._raw({0: 1})
+_NO_NAMES: frozenset[str] = frozenset()
 
 # The fewest terms of the long side for which add_product_into's paths for
 # a one-term side pay for their branches.

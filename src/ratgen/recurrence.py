@@ -24,13 +24,13 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain, repeat
 from operator import mul
 from typing import Iterator, Mapping, Sequence
 
 from .errors import NegativeOrder, PowerNotOne
 from .poly import (
-    RESERVED_VARIABLE,
     Polynomial,
     RawTerms,
     add_product_into,
@@ -39,7 +39,14 @@ from .poly import (
     max_degree,
     require_values,
 )
-from .series import SeriesPrefix, _check_denominator, convolve, iter_convolve
+from .series import (
+    SeriesPrefix,
+    _check_denominator,
+    check_convolution_degree,
+    check_t_free,
+    convolve,
+    iter_convolve,
+)
 
 _ZERO = Polynomial.zero()
 
@@ -48,11 +55,7 @@ def _as_trimmed(seq: Sequence[Polynomial], what: str) -> tuple[Polynomial, ...]:
     coeffs = list(seq)
     if not coeffs:
         raise ValueError(f"{what} must have at least one coefficient")
-    for p in coeffs:
-        if p.mentions(RESERVED_VARIABLE):
-            raise ValueError(
-                f"{what} coefficients must not mention the series variable"
-            )
+    check_t_free(coeffs, what)
     while len(coeffs) > 1 and coeffs[-1].is_zero():
         coeffs.pop()
     return tuple(coeffs)
@@ -139,6 +142,11 @@ class Recurrence:
         feedback, forcing = self.feedback, self.forcing
         check_degree(max_degree(forcing) + growth_degree(feedback, N))
         one = Polynomial.one()
+        # with at most one name in play, each P_k is handed its variable set,
+        # so formatting it need not read every monomial to learn it
+        names = frozenset().union(*(p.variables() for p in chain(feedback, forcing)))
+        build = (Polynomial.from_raw if len(names) > 1
+                 else partial(Polynomial._from_raw_in, names=names))
         # (j, feedback_j) for the nonzero feedback_j, constants first and 1
         # first among them: the first product lands in an empty map, where
         # add_product_into copies it or runs one comprehension
@@ -158,7 +166,7 @@ class Recurrence:
                     add_product_into(acc, coeff, window[-j])
                 if k < len(forcing):
                     add_product_into(acc, forcing[k], one)
-                p = Polynomial.from_raw(acc)
+                p = build(acc)
                 window.append(p)
                 yield p
 
@@ -295,7 +303,7 @@ def _recurrence_values(
 
 def expand_family(gf: RationalGF, N: int) -> SeriesPrefix:
     """P_0..P_N of the family generated by gf."""
-    return SeriesPrefix(tuple(iter_family(gf, N)))
+    return SeriesPrefix._unchecked(iter_family(gf, N))
 
 
 def expand_inverse(B: Sequence[Polynomial], N: int) -> SeriesPrefix:
@@ -306,7 +314,8 @@ def expand_inverse(B: Sequence[Polynomial], N: int) -> SeriesPrefix:
 
 def convolve_numerator(A: Sequence[Polynomial], Q: SeriesPrefix) -> SeriesPrefix:
     """Rebuild P from the inverse sequence: P_k = sum_{j<=min(m,k)} A_j Q_{k-j}."""
-    return SeriesPrefix(convolve(A, Q.coeffs, Q.order))
+    check_t_free(A, "numerator")
+    return SeriesPrefix._unchecked(convolve(A, Q.coeffs, Q.order))
 
 
 def identity_residual(
@@ -322,9 +331,11 @@ def identity_residual(
     given is computed here.  The double sum
     sum_{j>=1} sum_l B_j A_l Q_{k-j-l} is order k of A * ((B - 1) * Q):
     both factors of every product are then a coefficient of the input and
-    one series term, never a product of two coefficients.  Returns the
-    residual series rather than a boolean so a failure shows exactly which
-    order and which polynomial disagree.
+    one series term, never a product of two coefficients.  Each order,
+    [k <= m] A_k - P_k - sum_{l<=min(m,k)} A_l E_{k-l} with E = (B - 1) * Q,
+    is summed into one term map.  Returns the residual series rather than a
+    boolean so a failure shows exactly which order and which polynomial
+    disagree.
     """
     if gf.power != 1:
         raise PowerNotOne(
@@ -338,10 +349,19 @@ def identity_residual(
     if Q is None:
         Q = expand_inverse(B, N)
     E = convolve((_ZERO,) + B[1:], Q.coeffs, N)  # (B - 1) * Q
-    rhs = convolve(A, E, N)
-    return SeriesPrefix(
-        (A[k] if k <= m else _ZERO) - P[k] - rhs[k] for k in range(N + 1)
-    )
+    check_convolution_degree(A, E, N)
+    one, minus_one = Polynomial.one(), Polynomial.constant(-1)
+    minus_A = [-a for a in A]
+    residual = []
+    for k in range(N + 1):
+        acc: RawTerms = {}
+        if k <= m:
+            add_product_into(acc, A[k], one)
+        add_product_into(acc, minus_one, P[k])
+        for l in range(min(m, k) + 1):
+            add_product_into(acc, minus_A[l], E[k - l])
+        residual.append(Polynomial.from_raw(acc))
+    return SeriesPrefix._unchecked(residual)
 
 
 def derive_recurrence(gf: RationalGF, N: int | None = None) -> Recurrence:

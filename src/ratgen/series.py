@@ -1,9 +1,13 @@
 """Truncated formal power series in the reserved variable t.
 
 A :class:`SeriesPrefix` holds the coefficients of orders 0..N of a series
-whose coefficients are t-free polynomials.  All identities here are exact;
-no convergence argument is needed because every computation touches only
-finitely many orders.
+whose coefficients are t-free polynomials.  Coefficients are checked for t
+once, where they enter the library: a prefix built from outside, and the
+inputs of the functions here and in :mod:`ratgen.recurrence`.  What those
+functions build from checked inputs cannot mention t, so they wrap it with
+the unchecked :meth:`SeriesPrefix._unchecked`.  All identities here are
+exact; no convergence argument is needed because every computation touches
+only finitely many orders.
 
 Two independent constructions give B^-h for an admissible denominator B
 (constant term 1) and a power h >= 1, reading B and h themselves:
@@ -33,6 +37,22 @@ from .poly import (
 )
 
 
+def check_t_free(coeffs: Iterable[Polynomial], what: str) -> None:
+    """Raise ValueError if a coefficient mentions the series variable."""
+    for p in coeffs:
+        if p.mentions(RESERVED_VARIABLE):
+            raise ValueError(
+                f"{what} coefficients must not mention the series variable"
+            )
+
+
+def _orders(coeffs: Iterable[Polynomial]) -> tuple[Polynomial, ...]:
+    coeffs = tuple(coeffs)
+    if not coeffs:
+        raise NegativeOrder("a series prefix holds at least order 0")
+    return coeffs
+
+
 @dataclass(frozen=True, slots=True, repr=False)
 class SeriesPrefix:
     """Coefficients of t^0..t^N of a formal power series."""
@@ -40,15 +60,17 @@ class SeriesPrefix:
     coeffs: tuple[Polynomial, ...]
 
     def __post_init__(self) -> None:
-        coeffs = tuple(self.coeffs)
-        if not coeffs:
-            raise NegativeOrder("a series prefix holds at least order 0")
-        for p in coeffs:
-            if p.mentions(RESERVED_VARIABLE):
-                raise ValueError(
-                    "series coefficients must not mention the series variable"
-                )
+        coeffs = _orders(self.coeffs)
+        check_t_free(coeffs, "series")
         object.__setattr__(self, "coeffs", coeffs)
+
+    @classmethod
+    def _unchecked(cls, coeffs: Iterable[Polynomial]) -> SeriesPrefix:
+        """A prefix of coefficients the library built from checked inputs,
+        which therefore cannot mention t."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "coeffs", _orders(coeffs))
+        return self
 
     @property
     def order(self) -> int:
@@ -77,7 +99,7 @@ class SeriesPrefix:
             raise OrderMismatch(
                 f"cannot extend order {self.order} prefix to {order}"
             )
-        return SeriesPrefix(self.coeffs[: order + 1])
+        return SeriesPrefix._unchecked(self.coeffs[: order + 1])
 
     @classmethod
     def identity(cls, order: int) -> SeriesPrefix:
@@ -118,16 +140,23 @@ def convolve(
     a: Sequence[Polynomial], b: Sequence[Polynomial], N: int
 ) -> list[Polynomial]:
     """Orders 0..N of the product of two t-coefficient sequences."""
-    last_a, last_b = len(a) - 1, len(b) - 1
+    check_convolution_degree(a, b, N)
+    padded = chain(b[: N + 1], repeat(Polynomial.zero(), max(0, N - len(b) + 1)))
+    return list(iter_convolve(a, padded))
+
+
+def check_convolution_degree(
+    a: Sequence[Polynomial], b: Sequence[Polynomial], N: int
+) -> None:
+    """The degree bound of orders 0..N of the product of a and b."""
+    last_b = len(b) - 1
     # a_j meets only b_0..b_{N-j}: the bound of each a_j uses their largest degree
     top_b = list(accumulate((p.total_degree() for p in b), max))
     check_degree(max(
         (a[j].total_degree() + top_b[min(N - j, last_b)]
-         for j in range(min(N, last_a) + 1)),
+         for j in range(min(N, len(a) - 1) + 1)),
         default=0,
     ))
-    padded = chain(b[: N + 1], repeat(Polynomial.zero(), max(0, N - last_b)))
-    return list(iter_convolve(a, padded))
 
 
 def cauchy_mul(a: SeriesPrefix, b: SeriesPrefix) -> SeriesPrefix:
@@ -136,7 +165,7 @@ def cauchy_mul(a: SeriesPrefix, b: SeriesPrefix) -> SeriesPrefix:
         raise OrderMismatch(
             f"truncation orders differ: {a.order} vs {b.order}"
         )
-    return SeriesPrefix(convolve(a.coeffs, b.coeffs, a.order))
+    return SeriesPrefix._unchecked(convolve(a.coeffs, b.coeffs, a.order))
 
 
 def _check_denominator(B: Sequence[Polynomial]) -> None:
@@ -145,11 +174,14 @@ def _check_denominator(B: Sequence[Polynomial]) -> None:
 
 
 def _check_oracle(B: Sequence[Polynomial], N: int, h: int) -> None:
+    """The power oracles' checks, on the orders B_0..B_min(n, N) they read."""
     _check_denominator(B)
     if N < 0:
         raise NegativeOrder(f"order must be nonnegative, got {N}")
     if h < 1:
         raise ValueError(f"power must be a positive integer, got {h}")
+    check_t_free(B[1 : N + 1], "denominator")
+    check_degree(growth_degree(B[1 : N + 1], N))
 
 
 def _nonzero_terms(B: Sequence[Polynomial], N: int) -> list[tuple[int, Polynomial]]:
@@ -169,10 +201,9 @@ def geometric_inverse(
     H^k reach past order k*high, the highest of H read, so no order or
     product outside that band is formed.  Every
     order of 1/B, and of each power of it, has degree at most
-    N * max_j deg B_j / j, so one bound covers them all.
+    N * max_j deg B_j / j, so one bound, checked at entry, covers them all.
     """
     _check_oracle(B, N, h)
-    check_degree(growth_degree(B[1 : N + 1], N))
     H = _nonzero_terms(B, N)
     # H^k vanishes outside orders k*low..k*high
     low, high = (H[0][0], H[-1][0]) if H else (N + 1, 0)
@@ -199,7 +230,7 @@ def geometric_inverse(
         result = _truncated_square(result)
         if bit == "1":
             result = _truncated_product(result, inverse)
-    return SeriesPrefix(result)
+    return SeriesPrefix._unchecked(result)
 
 
 def _truncated_product(
@@ -244,7 +275,9 @@ def multinomial_inverse(
     s!/(j_1!...j_n!), the multinomial expansion of sum_s H^s.  Only
     B_0..B_min(n, N) are read.  The tuples are walked depth first with an
     explicit stack, so no recursion limit applies, and each tuple costs one
-    product.  Exponential in n; meant for desk-scale checks.
+    product.  Each product of weight w <= N has degree at most
+    N * max_j deg B_j / j, the one bound checked at entry.  Exponential in n;
+    meant for desk-scale checks.
     """
     _check_oracle(B, N, h)
     factors = _nonzero_terms(B, N)
@@ -263,7 +296,9 @@ def multinomial_inverse(
                 break  # and so does every later l
             j, power = 1, prod
             while weight + l * j <= N:
-                power = power * factor
+                acc: RawTerms = {}
+                add_product_into(acc, power, factor)
+                power = Polynomial.from_raw(acc)
                 stack.append((i + 1, weight + l * j, s + j, denom * fact[j], power))
                 j += 1
-    return SeriesPrefix([Polynomial.from_raw(acc) for acc in out])
+    return SeriesPrefix._unchecked(Polynomial.from_raw(acc) for acc in out)

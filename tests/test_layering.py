@@ -66,3 +66,19 @@ def test_the_power_oracles_name_no_engine_kernel():
     assert {"_truncated_square", "_truncated_product", "_nonzero_terms"} <= seen.keys()
     assert {name: sorted(names & ENGINE_KERNELS) for name, names in seen.items()
             if names & ENGINE_KERNELS} == {}
+
+
+# a prefix that skips the t check, or a polynomial handed its variable set,
+# is built only where the inputs were checked
+TRUSTED_CONSTRUCTORS = ("_unchecked", "_from_raw_in")
+
+
+def test_only_the_engine_names_the_trusted_constructors():
+    named = {
+        path.name: [needle for needle in TRUSTED_CONSTRUCTORS if needle in path.read_text()]
+        for path in sorted(SRC.glob("*.py"))
+    }
+    assert {"cli.py", "families.py"} <= named.keys()
+    allowed = {"series.py", "recurrence.py", "poly.py"}
+    assert {name: needles for name, needles in named.items()
+            if needles and name not in allowed} == {}

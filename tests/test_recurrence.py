@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from helpers import random_gf, random_poly, reference_product
+from helpers import COEFF_VARS, random_gf, random_poly, reference_product
 from ratgen import families, poly, recurrence, series
 from ratgen.errors import (
     BadConstantTerm,
@@ -13,7 +13,7 @@ from ratgen.errors import (
     NegativeOrder,
     PowerNotOne,
 )
-from ratgen.parser import join_in_t, split_in_t
+from ratgen.parser import join_in_t, parse_poly, split_in_t
 from ratgen.poly import Polynomial
 from ratgen.recurrence import (
     RationalGF,
@@ -28,7 +28,12 @@ from ratgen.recurrence import (
     raise_denominator,
     render_recurrence,
 )
-from ratgen.series import SeriesPrefix, cauchy_mul, geometric_inverse
+from ratgen.series import (
+    SeriesPrefix,
+    cauchy_mul,
+    geometric_inverse,
+    multinomial_inverse,
+)
 
 x = Polynomial.variable("x")
 one = Polynomial.one()
@@ -454,6 +459,17 @@ def test_iter_values_runs_no_engine_kernel(monkeypatch):
         assert list(iter_values(gf, point, N)) == want
 
 
+def test_one_name_recurrences_hand_each_term_its_exact_variable_set():
+    # with x in play, P_1 = (1 - x) + x*P_0 = 1 is constant and (1 + x*t)/(1 + x*t)
+    # has P_k = 0 past P_0; p * one is a fresh polynomial that finds its own set
+    for gf in [fib_gf(), catalan_gf(), RationalGF((one, one - x), (one, -x)),
+               RationalGF((one, x), (one, x)), RationalGF((c(3),), (one, -one))]:
+        terms = list(derive_recurrence(gf, 6).iter_terms(6))
+        assert [p.variables() for p in terms] == [(p * one).variables() for p in terms]
+    terms = derive_recurrence(RationalGF((one, one - x), (one, -x)), 2).iter_terms(2)
+    assert [p.variables() for p in terms] == [frozenset(), frozenset(), {"x"}]
+
+
 def test_iter_terms_raises_at_the_call_not_at_the_first_term():
     rec = Recurrence((x, one), (zero, one))
     with pytest.raises(NegativeOrder, match="^order must be nonnegative, got -1$"):
@@ -525,6 +541,75 @@ def test_identity_residual_checks_the_series_it_is_given():
     res = identity_residual(gf, 6, bad, Q)
     assert all(p.is_zero() for p in res[:4])
     assert res[4] == -x
+
+
+def reference_residual(gf: RationalGF, N: int, P, Q) -> list[Polynomial]:
+    """[k <= m] A_k - P_k - sum_l A_l E_{k-l} with E = (B - 1) * Q, built with
+    Polynomial +, - and * only."""
+    A, B = gf.numerator, gf.denominator
+    E = [sum((B[j] * Q[k - j] for j in range(1, min(gf.n, k) + 1)), zero)
+         for k in range(N + 1)]
+    return [
+        (A[k] if k <= gf.m else zero) - P[k]
+        - sum((A[l] * E[k - l] for l in range(min(gf.m, k) + 1)), zero)
+        for k in range(N + 1)
+    ]
+
+
+def corrupt(series: SeriesPrefix, k: int, delta: Polynomial) -> SeriesPrefix:
+    return SeriesPrefix(series[:k] + (series[k] + delta,) + series[k + 1:])
+
+
+@pytest.mark.parametrize("h", [1, 2])
+def test_identity_residual_equals_a_reference_built_with_ring_operations(h):
+    # A / B^h with the power folded into D = B^h, as verify checks it; P is
+    # corrupted at one order, then Q, and every residual polynomial is pinned
+    rng = random.Random(20261019 + h)
+    N = 8
+    checked = 0
+    while checked < 8:
+        names = COEFF_VARS[: rng.randint(1, 3)]
+        A = [random_poly(rng, names) for _ in range(rng.randint(1, 3))]
+        B = [one] + [random_poly(rng, names) for _ in range(rng.randint(1, 3))]
+        gf = RationalGF(A, RationalGF(A, B, h).reduced_denominator(N))
+        if not any(gf.numerator) or gf.n == 0:
+            continue
+        P, Q = expand_family(gf, N), expand_inverse(gf.denominator, N)
+        assert list(identity_residual(gf, N, P, Q)) == [zero] * (N + 1)
+        # A * (D - 1) starts at order low <= 5, so a change of Q_k shows from k + low
+        low = (next(l for l, a in enumerate(gf.numerator) if a)
+               + next(j for j, d in enumerate(gf.denominator) if j and d))
+        k = rng.randint(0, N - low)
+        delta = Polynomial.term(rng.randint(1, 5), {"x": rng.randint(0, 2)})
+        bad_P, bad_Q = corrupt(P, k, delta), corrupt(Q, k, delta)
+        expected = reference_residual(gf, N, bad_P, Q)
+        assert expected == [zero] * k + [-delta] + [zero] * (N - k)
+        assert list(identity_residual(gf, N, bad_P, Q)) == expected
+        expected = reference_residual(gf, N, P, bad_Q)
+        assert expected[: k + low] == [zero] * (k + low)
+        assert expected[k + low]
+        assert list(identity_residual(gf, N, P, bad_Q)) == expected
+        checked += 1
+
+
+def test_the_series_variable_is_refused_where_coefficients_enter():
+    t = parse_poly("t")
+    Q = expand_inverse(FIB_DEN, 4)
+    for call in (
+        lambda: geometric_inverse([one, -t], 4),
+        lambda: geometric_inverse([one, x, t], 4, 2),
+        lambda: multinomial_inverse([one, -t], 4),
+        lambda: multinomial_inverse([one, x, t], 4, 3),
+        lambda: convolve_numerator((one, t), Q),
+        lambda: expand_inverse([one, -t], 4),
+        lambda: identity_residual(RationalGF((t,), FIB_DEN), 4),
+        lambda: identity_residual(RationalGF(FIB_NUM, (one, t)), 4),
+    ):
+        with pytest.raises(ValueError, match="must not mention the series variable"):
+            call()
+    # the power oracles read B only to order N, so a t past it never enters
+    B = [one, -x, t]
+    assert geometric_inverse(B, 1) == multinomial_inverse(B, 1) == SeriesPrefix([one, x])
 
 
 def test_low_order_refinement():

@@ -275,7 +275,7 @@ def test_kernels_check_the_degree_bound_before_their_loops():
     assert list(Recurrence((zero, half), (one,)).iter_terms(3))[2] == half
     for kernel in (
         lambda: geometric_inverse(B, 2),  # N * deg B_1
-        lambda: multinomial_inverse(B, 2),  # through Polynomial.__mul__
+        lambda: multinomial_inverse(B, 2),  # N * deg B_1
         lambda: raise_denominator(B, 2),  # top order * deg B_1
         lambda: Recurrence((half,), (one,)).iter_terms(2),  # forcing + N * deg feedback_1
         lambda: convolve((half,), (half,), 0),  # deg a + deg b
