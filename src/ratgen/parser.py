@@ -1,6 +1,13 @@
 """Expression front end: text -> Polynomial -> canonical text.
 
-Grammar (whitespace insignificant, multiplication always explicit):
+Tokens are integer literals (runs of ASCII digits), names, and the six
+operators ``+ - * ^ ( )``.  A name is an ASCII letter followed by ASCII
+letters, digits and underscores: ``ratgen.poly``'s ``_NAME_RE``, the rule it
+checks when it first interns a name.  Whitespace, every character
+``str.isspace()`` accepts, may separate tokens; any other character is a
+:class:`ParseError` at its position.
+
+Grammar (multiplication always explicit):
 
     expr   := term (('+' | '-') term)*
     term   := factor ('*' factor)*
@@ -11,152 +18,136 @@ Exponentiation binds tighter than unary minus, so ``-x^2`` is ``-(x^2)``;
 this is what the canonical formatter relies on when it folds minus signs
 into term separators.  Parentheses and unary minus signs nest at most
 ``MAX_NESTING`` levels deep, and exponents are at most ``MAX_EXPONENT``.
-Identifiers start with a letter; ``t`` is the series variable and is only
-meaningful to :func:`split_in_t`.
+The name ``t`` is the series variable and is only meaningful to
+:func:`split_in_t`.
 """
 
 from __future__ import annotations
 
+import re
 import threading
-from functools import lru_cache, partial, reduce
+from functools import partial, reduce
 from itertools import repeat
 from operator import add
 from typing import Iterator, Sequence
 
 from .errors import ExponentTooLarge, NegativeExponent, ParseError, TooManyDigits
-from .poly import RESERVED_VARIABLE, Polynomial
+from .poly import _NAME_RE, RESERVED_VARIABLE, Polynomial
 
 MAX_EXPONENT = 1 << 16
 MAX_NESTING = 100  # each '(' and each unary '-' opens one level
 
-_OPERATORS = "+-*^()"
+# One token after any whitespace, in a group named for its kind: ASCII
+# digits, a name (poly's _NAME_RE), an operator, or any other character,
+# which is an error.  \s matches exactly what str.isspace() accepts.
+_SCAN = re.compile(
+    rf"\s*(?:(?P<int>[0-9]+)|(?P<name>{_NAME_RE.pattern})|(?P<op>[-+*^()])|(?P<bad>\S))"
+).finditer
 
 
-class _Token:
-    __slots__ = ("kind", "text", "pos")
+def _tokenize(src: str) -> list[tuple[str, str, int]]:
+    """The (kind, text, position) tokens of src, ending with ("end", "", len(src)).
 
-    def __init__(self, kind: str, text: str, pos: int):
-        self.kind = kind  # "int", "name", one of +-*^(), or "end"
-        self.text = text
-        self.pos = pos
-
-
-def _tokenize(src: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    i = 0
-    n = len(src)
-    while i < n:
-        ch = src[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit() and ch.isascii():  # int() reads other digits too; 0-9 only
-            j = i
-            while j < n and src[j].isdigit() and src[j].isascii():
-                j += 1
-            tokens.append(_Token("int", src[i:j], i))
-            i = j
-        elif ch.isalpha() and ch.isascii():
-            j = i
-            while j < n and (src[j].isascii() and (src[j].isalnum() or src[j] == "_")):
-                j += 1
-            tokens.append(_Token("name", src[i:j], i))
-            i = j
-        elif ch in _OPERATORS:
-            tokens.append(_Token(ch, ch, i))
-            i += 1
-        else:
-            raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append(_Token("end", "", n))
+    A token's kind is "int", "name", or the operator character itself.
+    """
+    tokens = []
+    # the pattern matches wherever a non-space character is left, so the
+    # matches abut and only trailing whitespace goes unmatched
+    for found in _SCAN(src):
+        kind = found.lastgroup
+        text, pos = found[kind], found.start(kind)
+        if kind == "bad":
+            raise ParseError(f"unexpected character {text!r}", pos)
+        tokens.append((text if kind == "op" else kind, text, pos))
+    tokens.append(("end", "", len(src)))
     return tokens
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
+    def __init__(self, tokens: list[tuple[str, str, int]]):
         self.tokens = tokens
         self.pos = 0
         self.depth = 0
 
     @property
-    def current(self) -> _Token:
-        return self.tokens[self.pos]
+    def kind(self) -> str:
+        return self.tokens[self.pos][0]
 
-    def advance(self) -> _Token:
+    def advance(self) -> tuple[str, str, int]:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
     def integer(self) -> int:
         """Consume an integer literal and return its value."""
-        tok = self.advance()
+        _, text, pos = self.advance()
         try:
-            return int(tok.text)
+            return int(text)
         except ValueError:  # past the interpreter's digit limit
             raise ParseError(
-                f"integer literal of {len(tok.text)} digits is too long", tok.pos
+                f"integer literal of {len(text)} digits is too long", pos
             ) from None
 
     def nest(self) -> None:
         """Consume a '(' or a unary '-', which opens one nesting level."""
-        tok = self.advance()
+        pos = self.advance()[2]
         self.depth += 1
         if self.depth > MAX_NESTING:
-            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", tok.pos)
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", pos)
 
     def fail(self, expected: str) -> ParseError:
-        tok = self.current
-        got = "end of input" if tok.kind == "end" else repr(tok.text)
-        return ParseError(f"expected {expected}, got {got}", tok.pos)
+        kind, text, pos = self.tokens[self.pos]
+        got = "end of input" if kind == "end" else repr(text)
+        return ParseError(f"expected {expected}, got {got}", pos)
 
     def parse_expr(self) -> Polynomial:
         value = self.parse_term()
-        while self.current.kind in ("+", "-"):
-            op = self.advance().kind
+        while self.kind in ("+", "-"):
+            op = self.advance()[0]
             rhs = self.parse_term()
             value = value + rhs if op == "+" else value - rhs
         return value
 
     def parse_term(self) -> Polynomial:
         value = self.parse_factor()
-        while self.current.kind == "*":
+        while self.kind == "*":
             self.advance()
             value = value * self.parse_factor()
         return value
 
     def parse_factor(self) -> Polynomial:
-        if self.current.kind == "-":
+        if self.kind == "-":
             self.nest()
             value = -self.parse_factor()
             self.depth -= 1
             return value
         value = self.parse_base()
-        if self.current.kind == "^":
+        if self.kind == "^":
             self.advance()
-            tok = self.current
-            if tok.kind == "-":
-                raise NegativeExponent("exponent must be nonnegative", tok.pos)
-            if tok.kind != "int":
+            kind, _, pos = self.tokens[self.pos]
+            if kind == "-":
+                raise NegativeExponent("exponent must be nonnegative", pos)
+            if kind != "int":
                 raise self.fail("a nonnegative integer exponent")
             exponent = self.integer()
             if exponent > MAX_EXPONENT:
                 raise ExponentTooLarge(
                     f"exponent {exponent} exceeds bound {MAX_EXPONENT}",
-                    tok.pos,
+                    pos,
                 )
             value = value**exponent
         return value
 
     def parse_base(self) -> Polynomial:
-        tok = self.current
-        if tok.kind == "int":
+        kind = self.kind
+        if kind == "int":
             return Polynomial.constant(self.integer())
-        if tok.kind == "name":
-            self.advance()
-            return Polynomial.symbol(tok.text)
-        if tok.kind == "(":
+        if kind == "name":
+            return Polynomial.symbol(self.advance()[1])
+        if kind == "(":
             self.nest()
             value = self.parse_expr()
-            if self.current.kind != ")":
+            if self.kind != ")":
                 raise self.fail("')'")
             self.advance()
             self.depth -= 1
@@ -168,7 +159,7 @@ def parse_poly(src: str) -> Polynomial:
     """Parse an expression over the coefficient variables and t."""
     parser = _Parser(_tokenize(src))
     value = parser.parse_expr()
-    if parser.current.kind != "end":
+    if parser.kind != "end":
         raise parser.fail("'+', '-', '*', or end of input")
     return value
 
@@ -187,49 +178,37 @@ def join_in_t(seq: Sequence[Polynomial]) -> Polynomial:
     return Polynomial.join(RESERVED_VARIABLE, seq)
 
 
-# Texts "*x^e" of one variable's power, shared by every formatted polynomial;
-# a fixed bound, since exponents go up to MAX_DEGREE.
-POWER_TEXT_CACHE_SIZE = 1 << 14
-
-
-@lru_cache(maxsize=POWER_TEXT_CACHE_SIZE)
 def _power_text(name: str, e: int) -> str:
+    """The text "*x^e" of one variable's power; "*x" for e = 1, "" for e = 0."""
     if e > 1:
         return f"*{name}^{e}"
     return f"*{name}" if e else ""
 
 
 # _EXPONENT_TEXTS[name][e] is _power_text(name, e), for e from 0 up to the
-# highest exponent of name formatted so far.  The lists hold at most
-# EXPONENT_TEXT_TABLE_SIZE entries between them, a fixed total however many
-# names there are; a column whose exponents would pass that reads its texts
-# from _power_text instead.
+# highest exponent of name formatted so far, shared by every formatted
+# polynomial.  The lists hold at most EXPONENT_TEXT_TABLE_SIZE entries
+# between them, a fixed total however many names there are, since exponents
+# go up to MAX_DEGREE; a column whose exponents would pass that formats its
+# texts uncached instead.
 EXPONENT_TEXT_TABLE_SIZE = 1 << 14
 _EXPONENT_TEXTS: dict[str, list[str]] = {}
 _EXPONENT_TEXTS_LOCK = threading.Lock()
 
 
-def _exponent_texts(name: str, top: int) -> list[str] | None:
-    """The texts of name^0..name^top at least, or None if they do not fit."""
-    texts = _EXPONENT_TEXTS.get(name)
-    if texts is not None and top < len(texts):
-        return texts
-    with _EXPONENT_TEXTS_LOCK:
-        texts = _EXPONENT_TEXTS.setdefault(name, [])
-        start = len(texts)
-        if top >= start:
-            held = sum(map(len, _EXPONENT_TEXTS.values()))
-            if held + top + 1 - start > EXPONENT_TEXT_TABLE_SIZE:
-                return None
-            texts.extend(map(_power_text.__wrapped__, repeat(name), range(start, top + 1)))
-    return texts
-
-
 def _column_texts(name: str, column: Sequence[int]) -> Iterator[str]:
     """The text of name^e for each exponent e of a column, in order."""
-    texts = _exponent_texts(name, max(column))
-    if texts is None:
-        return map(_power_text, repeat(name), column)
+    top = max(column)
+    texts = _EXPONENT_TEXTS.get(name)
+    if texts is None or top >= len(texts):
+        with _EXPONENT_TEXTS_LOCK:
+            texts = _EXPONENT_TEXTS.setdefault(name, [])
+            start = len(texts)
+            if top >= start:
+                held = sum(map(len, _EXPONENT_TEXTS.values()))
+                if held + top + 1 - start > EXPONENT_TEXT_TABLE_SIZE:
+                    return map(_power_text, repeat(name), column)
+                texts.extend(map(_power_text, repeat(name), range(start, top + 1)))
     return map(texts.__getitem__, column)
 
 

@@ -18,7 +18,9 @@ that multiplies checks its degree bound once, before its loop, and raises
 :class:`DegreeTooLarge` past it; nothing wraps silently.
 
 The table lives for the whole process and only grows, up to
-``MAX_VARIABLES`` names; one more raises :class:`TooManyVariables`.  A
+``MAX_VARIABLES`` names; one more raises :class:`TooManyVariables`.  A name
+is checked once, when it is first interned: one that does not match
+``_NAME_RE`` raises :class:`InvalidVariable` and is not interned.  A
 monomial is as wide as the field of its latest-interned variable, so the
 cap also bounds its size.  Reading monomials back goes through one struct
 format per variable set, so the cost per term stays in C however many names
@@ -67,7 +69,7 @@ MAX_DEGREE = _MASK  # largest total degree of any monomial
 # MAX_VARIABLES + 1 fields (about 4 KB).
 MAX_VARIABLES = 1024
 
-_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
+_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")  # the parser scans names with it
 
 # Interning table: variable name -> bit offset of its exponent field.
 _SHIFTS: dict[str, int] = {}
@@ -75,14 +77,17 @@ _NAMES: list[str] = []  # _NAMES[i] owns the field at _WIDTH * (i + 1)
 _INTERN_LOCK = threading.Lock()
 
 
-def validate_variable_name(name: str) -> str:
-    """Check a variable name and return it.
-
-    Names are nonempty, start with a letter, and contain only letters,
-    digits, and underscores.  The series variable is rejected.
-    """
-    if not isinstance(name, str) or not _NAME_RE.match(name):
+def _check_name(name: str) -> None:
+    """Raise InvalidVariable unless name is one ASCII letter, then ASCII
+    letters, digits, and underscores; the series variable passes."""
+    if not isinstance(name, str) or not _NAME_RE.fullmatch(name):
         raise InvalidVariable(f"invalid variable name: {name!r}")
+
+
+def validate_variable_name(name: str) -> str:
+    """Check a coefficient variable's name, which is not the series variable,
+    and return it; interns nothing."""
+    _check_name(name)
     if name == RESERVED_VARIABLE:
         raise InvalidVariable(
             f"{RESERVED_VARIABLE!r} is the reserved series variable"
@@ -128,6 +133,7 @@ def _shift(name: str) -> int:
         with _INTERN_LOCK:
             shift = _SHIFTS.get(name)
             if shift is None:
+                _check_name(name)
                 if len(_NAMES) == MAX_VARIABLES:
                     raise TooManyVariables(
                         f"more than {MAX_VARIABLES} distinct variable names"
@@ -145,10 +151,11 @@ def _unit(name: str) -> int:
 def _pack(mono: Monomial) -> int:
     packed = degree = 0
     for name, e in mono:
-        if e < 0:
+        if e > 0:
+            packed += e << _shift(name)
+            degree += e
+        elif e:
             raise ValueError(f"negative exponent for {name!r}")
-        packed += e << _shift(name)
-        degree += e
     check_degree(degree)
     return packed + degree
 
@@ -189,7 +196,7 @@ _EXPONENTS = itemgetter(slice(1, None))  # a read monomial without its degree
 class Polynomial:
     """An immutable element of the integer polynomial ring."""
 
-    __slots__ = ("_terms", "_vars", "_hash")
+    __slots__ = ("_terms", "_vars")
 
     _terms: RawTerms
 
@@ -201,7 +208,6 @@ class Polynomial:
                 packed[key] = packed.get(key, 0) + coeff
         object.__setattr__(self, "_terms", {m: c for m, c in packed.items() if c})
         object.__setattr__(self, "_vars", None)
-        object.__setattr__(self, "_hash", None)
 
     @classmethod
     def _raw(cls, terms: RawTerms) -> Polynomial:
@@ -209,7 +215,6 @@ class Polynomial:
         self = cls.__new__(cls)
         object.__setattr__(self, "_terms", terms)
         object.__setattr__(self, "_vars", None)
-        object.__setattr__(self, "_hash", None)
         return self
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -399,11 +404,7 @@ class Polynomial:
         return NotImplemented
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash(frozenset(self._terms.items()))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash(frozenset(self._terms.items()))
 
     def __add__(self, other: Polynomial) -> Polynomial:
         if not isinstance(other, Polynomial):

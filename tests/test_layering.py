@@ -82,3 +82,10 @@ def test_only_the_engine_names_the_trusted_constructors():
     allowed = {"series.py", "recurrence.py", "poly.py"}
     assert {name: needles for name, needles in named.items()
             if needles and name not in allowed} == {}
+
+
+def test_the_name_pattern_is_spelled_once_in_poly():
+    # the parser scans names with poly's _NAME_RE, so the rule has one home
+    pattern = "[A-Za-z][A-Za-z0-9_]*"
+    spelled = {path.name: path.read_text().count(pattern) for path in sorted(SRC.glob("*.py"))}
+    assert {name: count for name, count in spelled.items() if count} == {"poly.py": 1}

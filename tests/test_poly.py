@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 
 from helpers import polynomials, random_poly, reference_product
+from ratgen import poly
 from ratgen.errors import DegreeTooLarge, InvalidVariable, MissingVariable
 from ratgen.poly import (
     MAX_DEGREE,
@@ -250,6 +251,32 @@ def test_reserved_series_variable_rejected():
         Polynomial.variable("t")
     with pytest.raises(InvalidVariable):
         validate_variable_name("t")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Polynomial({(("1bad", 1),): 2}),
+    lambda: Polynomial({(("", 1),): 1}),
+    lambda: Polynomial({(("x", 1), ("caf\u00e9", 2)): 1}),
+    lambda: Polynomial.join("9z", [one, x]),
+    lambda: Polynomial.symbol(""),
+    lambda: Polynomial.symbol("x-y"),
+], ids=["constructor", "empty", "non-ascii", "join", "symbol-empty", "symbol"])
+def test_names_are_checked_when_first_interned(build):
+    # every path into the interning table checks the name, so a polynomial
+    # never holds a name whose text parse_poly would refuse
+    before = list(poly._NAMES)
+    with pytest.raises(InvalidVariable):
+        build()
+    assert poly._NAMES == before
+
+
+def test_zero_exponents_intern_no_name():
+    before = list(poly._NAMES)
+    assert (x + Polynomial.constant(5)).coefficient((("zz_never_seen", 0),)) == 5
+    assert Polynomial({(("x", 1), ("zz_never_seen", 0)): 3}) == Polynomial.term(3, {"x": 1})
+    assert Polynomial({(("zz_never_seen", 0),): 3}) == 3
+    assert Polynomial.term(3, {"zz_never_seen": 0}) == 3
+    assert poly._NAMES == before
 
 
 def test_degree_bound_is_exact():
