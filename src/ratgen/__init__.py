@@ -15,6 +15,7 @@ from .errors import (
     MissingVariable,
     NegativeExponent,
     NegativeOrder,
+    NonIntegerExponent,
     OrderMismatch,
     ParseError,
     PowerNotOne,
@@ -52,6 +53,7 @@ __all__ = [
     "MissingVariable",
     "NegativeExponent",
     "NegativeOrder",
+    "NonIntegerExponent",
     "OrderMismatch",
     "ParseError",
     "Polynomial",

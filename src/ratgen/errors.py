@@ -36,6 +36,10 @@ class PowerNotOne(RatGenError):
     """An operation that requires denominator power 1 got a higher power."""
 
 
+class NonIntegerExponent(RatGenError, TypeError):
+    """An exponent given to a ``Polynomial`` constructor that is not an ``int``."""
+
+
 class TooManyDigits(RatGenError):
     """An integer past the interpreter's limit on decimal conversion."""
 

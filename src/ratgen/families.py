@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping
 
 from .errors import BadParameter, UnknownFamily
+from .parser import MAX_EXPONENT
 from .poly import RESERVED_VARIABLE, Polynomial
 from .recurrence import RationalGF, derive_recurrence, expand_family
 from .series import SeriesPrefix
@@ -37,11 +38,16 @@ def _const(c: int) -> Polynomial:
 
 @dataclass(frozen=True)
 class ParamSpec:
-    """A family parameter, typed by its default: ``int`` or :class:`Polynomial`."""
+    """A family parameter, typed by its default: ``int`` or :class:`Polynomial`.
+
+    An ``int`` parameter that sizes a tuple or an exponent has a ``maximum``,
+    so a huge value is refused before anything is allocated.
+    """
 
     name: str
     default: int | Polynomial
     minimum: int | None = None
+    maximum: int | None = None
 
 
 @dataclass(frozen=True)
@@ -91,6 +97,10 @@ def _resolve_params(spec: FamilySpec, parameters: Mapping[str, object] | None) -
                 raise BadParameter(
                     f"{spec.name}: parameter {p.name} must be >= {p.minimum}"
                 )
+            if p.maximum is not None and value > p.maximum:
+                raise BadParameter(
+                    f"{spec.name}: parameter {p.name} must be <= {p.maximum}"
+                )
         else:
             if isinstance(value, int) and not isinstance(value, bool):
                 value = _const(value)
@@ -125,7 +135,7 @@ def _family(name: str, summary: str, *params: ParamSpec):
     return register
 
 
-_M = ParamSpec("m", 2, minimum=2)  # t-degree of the denominator
+_M = ParamSpec("m", 2, minimum=2, maximum=MAX_EXPONENT)  # t-degree of the denominator
 _A = ParamSpec("A", _ZERO)  # numerator coefficient of t
 _P = ParamSpec("p", 1)  # coefficient of x*t
 _Q = ParamSpec("q", 1)  # coefficient of t^2
@@ -286,9 +296,9 @@ def _gen_catalan(params: dict) -> FamilyParts:
 @_family(
     "gen_two_var_fibonacci",
     "two-variable Fibonacci polynomials, (1 + A*t) / (1 - x^a*t - y^b*t^(b+c))",
-    ParamSpec("a", 1, minimum=1),  # exponent of x
-    ParamSpec("b", 1, minimum=1),  # exponent of y
-    ParamSpec("c", 1, minimum=1),  # t-degree offset
+    ParamSpec("a", 1, minimum=1, maximum=MAX_EXPONENT),  # exponent of x
+    ParamSpec("b", 1, minimum=1, maximum=MAX_EXPONENT),  # exponent of y
+    ParamSpec("c", 1, minimum=1, maximum=MAX_EXPONENT),  # t-degree offset
     _A,
 )
 def _gen_two_var_fibonacci(params: dict) -> FamilyParts:

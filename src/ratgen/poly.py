@@ -50,7 +50,13 @@ from itertools import accumulate, chain, compress, repeat
 from operator import add, itemgetter, mul, or_, sub
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .errors import DegreeTooLarge, InvalidVariable, MissingVariable, TooManyVariables
+from .errors import (
+    DegreeTooLarge,
+    InvalidVariable,
+    MissingVariable,
+    NonIntegerExponent,
+    TooManyVariables,
+)
 
 # Series variable; only the parser front end may mention it inside a Polynomial.
 RESERVED_VARIABLE = "t"
@@ -151,6 +157,10 @@ def _unit(name: str) -> int:
 def _pack(mono: Monomial) -> int:
     packed = degree = 0
     for name, e in mono:
+        if not isinstance(e, int):
+            raise NonIntegerExponent(
+                f"exponent of {name!r} must be an integer, got {e!r}"
+            )
         if e > 0:
             packed += e << _shift(name)
             degree += e

@@ -11,11 +11,13 @@ only finitely many orders.
 
 Two independent constructions give B^-h for an admissible denominator B
 (constant term 1) and a power h >= 1, reading B and h themselves:
-:func:`geometric_inverse` sums powers of ``1 - B`` and raises that sum to h
-by binary powering, and :func:`multinomial_inverse` sums the generalized
-binomial series of ``(1 - (1 - B))^-h`` term by term.  They exist to
-cross-check the recurrence engine and each other, so neither is allowed to
-use the recurrence, Miller's power loop or :func:`convolve`.
+:func:`geometric_inverse` forms the powers H^k of ``H = 1 - B`` one from
+the last and sums them with the weights C(k+h-1, k) of the generalized
+binomial series, so its product count does not depend on h, and
+:func:`multinomial_inverse` expands the same series term by term by the
+multinomial theorem.  They exist to cross-check the recurrence engine and
+each other, so neither is allowed to use the recurrence, Miller's power
+loop or :func:`convolve`.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
+from math import comb
 from operator import mul
 from typing import Iterable, Iterator, Sequence
 
@@ -192,25 +195,28 @@ def _nonzero_terms(B: Sequence[Polynomial], N: int) -> list[tuple[int, Polynomia
 def geometric_inverse(
     B: Sequence[Polynomial], N: int, h: int = 1
 ) -> SeriesPrefix:
-    """B^-h up to order N: the geometric sum of the powers of H = 1 - B,
-    raised to h by binary powering.
+    """B^-h up to order N: the powers of H = 1 - B, each weighted by its
+    binomial coefficient, (1 - H)^-h = sum_k C(k+h-1, k) * H^k.
 
     H is divisible by t^low, its lowest order, so H^k contributes nothing
     below order k*low and the partial sum over k <= N/low already fixes
     every requested coefficient; only B_0..B_min(n, N) are read.  Nor does
     H^k reach past order k*high, the highest of H read, so no order or
-    product outside that band is formed.  Every
-    order of 1/B, and of each power of it, has degree at most
-    N * max_j deg B_j / j, so one bound, checked at entry, covers them all.
+    product outside that band is formed.  The power h enters only through
+    the integer weights, so the number of products does not depend on h.
+    Every order of B^-h has degree at most N * max_j deg B_j / j, so one
+    bound, checked at entry, covers them all.
     """
     _check_oracle(B, N, h)
     H = _nonzero_terms(B, N)
     # H^k vanishes outside orders k*low..k*high
     low, high = (H[0][0], H[-1][0]) if H else (N + 1, 0)
     one = Polynomial.one()
-    sums: list[RawTerms] = [{} for _ in range(N + 1)]  # orders of sum_{k>=1} H^k
+    # orders of sum_{k>=1} C(k+h-1, k) H^k
+    sums: list[RawTerms] = [{} for _ in range(N + 1)]
     power = [one] + [Polynomial.zero()] * N  # H^0
     for k in range(1, N // low + 1):
+        weight = Polynomial.constant(comb(k + h - 1, k))
         nxt = [Polynomial.zero()] * (N + 1)
         for d in range(k * low, min(N, k * high) + 1):
             acc: RawTerms = {}
@@ -222,42 +228,11 @@ def geometric_inverse(
                 if d - l <= (k - 1) * high:
                     add_product_into(acc, coeff, power[d - l])
             nxt[d] = Polynomial.from_raw(acc)
-            add_product_into(sums[d], one, nxt[d])
+            add_product_into(sums[d], weight, nxt[d])
         power = nxt
-    inverse = [one] + [Polynomial.from_raw(acc) for acc in sums[1:]]
-    result = inverse
-    for bit in bin(h)[3:]:  # left to right, after the leading 1
-        result = _truncated_square(result)
-        if bit == "1":
-            result = _truncated_product(result, inverse)
-    return SeriesPrefix._unchecked(result)
-
-
-def _truncated_product(
-    a: Sequence[Polynomial], b: Sequence[Polynomial]
-) -> list[Polynomial]:
-    """Orders 0..N of a * b, both of N + 1 orders; the geometric oracle's own."""
-    out = []
-    for d in range(len(a)):
-        acc: RawTerms = {}
-        for i in range(d + 1):
-            add_product_into(acc, a[i], b[d - i])
-        out.append(Polynomial.from_raw(acc))
-    return out
-
-
-def _truncated_square(a: Sequence[Polynomial]) -> list[Polynomial]:
-    """Orders 0..N of a^2: each pair a_i * a_j with i < j is formed once."""
-    out = []
-    for d in range(len(a)):
-        acc: RawTerms = {}
-        for i in range((d + 1) // 2):  # i < d - i
-            add_product_into(acc, a[i], a[d - i])
-        acc = {m: c + c for m, c in acc.items()}
-        if d % 2 == 0:
-            add_product_into(acc, a[d // 2], a[d // 2])
-        out.append(Polynomial.from_raw(acc))
-    return out
+    return SeriesPrefix._unchecked(
+        [one] + [Polynomial.from_raw(acc) for acc in sums[1:]]
+    )
 
 
 def multinomial_inverse(

@@ -1,6 +1,7 @@
 """CLI contract: flags, formats, exit codes, deterministic output."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -420,6 +421,31 @@ def test_family_expand_bad_param(capsys):
     assert code == 2
 
 
+def refused_quickly(capsys, argv):
+    """The one stderr line of an argv that must exit 2 at once."""
+    start = perf_counter()
+    code, out, err = run(capsys, argv)
+    assert perf_counter() - start < 0.5
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    return err
+
+
+def test_family_expand_refuses_a_huge_exponent_parameter(capsys):
+    # b is the exponent of y and sizes a tuple of b + c - 2 zeros
+    err = refused_quickly(capsys, [
+        "family", "expand", "gen_two_var_fibonacci", "--param", "b=3000000000", "-N", "2"
+    ])
+    assert err == "error: gen_two_var_fibonacci: parameter b must be <= 65536\n"
+
+
+def test_family_expand_refuses_a_huge_denominator_degree(capsys):
+    err = refused_quickly(capsys, [
+        "family", "expand", "gen_fibonacci", "--param", "m=100000000", "-N", "3"
+    ])
+    assert err == "error: gen_fibonacci: parameter m must be <= 65536\n"
+
+
 def test_family_audit_pell_printed_mode(capsys):
     code, out, _ = run(
         capsys, ["family", "audit", "pell", "--mode", "printed", "-N", "2"]
@@ -598,6 +624,21 @@ def test_verify_catches_a_wrong_engine_power(capsys, monkeypatch):
         "FAIL residual"
     ]
     assert all("first difference at k=2" in lines[i] for i in (0, 2, 3))
+
+
+def test_verify_catches_a_wrong_geometric_weight(capsys, monkeypatch):
+    # the geometric oracle weights H^k by C(k+h-1, k); one off in the top
+    # argument builds B^-(h-1) instead, which fails both checks that read
+    # it, while convolution and residual, which never read it, pass
+    monkeypatch.setattr(series, "comb", lambda n, k: math.comb(n - 1, k))
+    code, out, _ = run(capsys, [
+        "verify", *FIB, "--pow", "3", "-N", "10", "--oracle", "all"
+    ])
+    assert code == 1
+    assert [line.split(":")[0] for line in out.splitlines()] == [
+        "FAIL geometric", "FAIL multinomial", "PASS convolution (N=10)",
+        "PASS residual (N=10)"
+    ]
 
 
 def test_high_power_expansion_does_linear_work_per_order(capsys, monkeypatch):

@@ -4,7 +4,7 @@ import pytest
 
 from ratgen.errors import BadParameter, UnknownFamily
 from ratgen.families import audit, build_parts, instantiate, list_families
-from ratgen.parser import parse_poly, split_in_t
+from ratgen.parser import MAX_EXPONENT, parse_poly, split_in_t
 from ratgen.poly import Polynomial
 from ratgen.recurrence import expand_family
 
@@ -66,6 +66,20 @@ def test_bad_parameters():
         instantiate("gen_catalan", {"A": parse_poly("t + 1")})
     with pytest.raises(BadParameter):
         instantiate("fibonacci", None, "weird-mode")
+
+
+def test_size_parameters_stop_at_the_exponent_bound():
+    # the integers that size a tuple or an exponent stop at MAX_EXPONENT;
+    # the coefficients p and q are unbounded
+    for name, param in [("gen_fibonacci", "m"), ("gen_lucas", "m"), ("gen_catalan", "m"),
+                        ("gen_two_var_fibonacci", "a"), ("gen_two_var_fibonacci", "b"),
+                        ("gen_two_var_fibonacci", "c")]:
+        build_parts(name, {param: MAX_EXPONENT})
+        with pytest.raises(BadParameter, match=f"parameter {param} must be <= {MAX_EXPONENT}"):
+            build_parts(name, {param: MAX_EXPONENT + 1})
+    huge = 10**30
+    parts, _ = build_parts("horadam_first", {"p": huge, "q": huge})
+    assert parts.denominator == (one, c(-huge) * x, c(-huge))
 
 
 def test_fibonacci_components():

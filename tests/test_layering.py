@@ -63,7 +63,7 @@ def test_the_power_oracles_name_no_engine_kernel():
         seen[name] = names_in(getattr(series, name))
         todo += [other for other in seen[name] if other.startswith("_")
                  and inspect.isfunction(getattr(series, other, None))]
-    assert {"_truncated_square", "_truncated_product", "_nonzero_terms"} <= seen.keys()
+    assert {"_check_oracle", "_nonzero_terms"} <= seen.keys()
     assert {name: sorted(names & ENGINE_KERNELS) for name, names in seen.items()
             if names & ENGINE_KERNELS} == {}
 

@@ -14,7 +14,13 @@ from hypothesis import given, settings
 
 from helpers import polynomials, random_poly, reference_product
 from ratgen import poly
-from ratgen.errors import DegreeTooLarge, InvalidVariable, MissingVariable
+from ratgen.errors import (
+    DegreeTooLarge,
+    InvalidVariable,
+    MissingVariable,
+    NonIntegerExponent,
+    RatGenError,
+)
 from ratgen.poly import (
     MAX_DEGREE,
     MAX_VARIABLES,
@@ -276,6 +282,21 @@ def test_zero_exponents_intern_no_name():
     assert Polynomial({(("x", 1), ("zz_never_seen", 0)): 3}) == Polynomial.term(3, {"x": 1})
     assert Polynomial({(("zz_never_seen", 0),): 3}) == 3
     assert Polynomial.term(3, {"zz_never_seen": 0}) == 3
+    assert poly._NAMES == before
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Polynomial({(("zz_float_exp", 1.5),): 1}),
+    lambda: Polynomial.term(1, {"zz_text_exp": "2"}),
+    lambda: Polynomial.term(1, {"zz_whole_float": 2.0}),
+], ids=["constructor-float", "term-str", "term-whole-float"])
+def test_non_integer_exponents_raise_a_typed_error(build):
+    # the error is a RatGenError, so the CLI reports it in one line, and a
+    # TypeError, as before; the name is not interned
+    before = list(poly._NAMES)
+    with pytest.raises(NonIntegerExponent, match="must be an integer") as caught:
+        build()
+    assert isinstance(caught.value, RatGenError) and isinstance(caught.value, TypeError)
     assert poly._NAMES == before
 
 

@@ -154,11 +154,9 @@ def test_power_oracles_reject_a_power_below_one():
             oracle([one, -x], 3, 0)
 
 
-def test_geometric_inverse_forms_no_product_outside_the_band_of_h_to_the_k(monkeypatch):
-    # H = x*t + y*t^2 + z*t^3 is dense, so every order k..3k of H^k is nonzero:
-    # a product with a zero operand means an order outside that band was visited
-    y, z = Polynomial.variable("y"), Polynomial.variable("z")
-    B = [one, -x, -y, -z]
+def geometric_products(monkeypatch, B, N, h):
+    """geometric_inverse(B, N, h) and, per add_product_into call it made,
+    whether both operands were nonzero."""
     calls = []
     real = series.add_product_into
 
@@ -166,14 +164,33 @@ def test_geometric_inverse_forms_no_product_outside_the_band_of_h_to_the_k(monke
         calls.append(bool(p) and bool(q))
         real(acc, p, q)
 
-    monkeypatch.setattr(series, "add_product_into", counted)
-    got = geometric_inverse(B, 12)
-    monkeypatch.undo()
-    assert calls and all(calls)
-    assert got == multinomial_inverse(B, 12)
+    with monkeypatch.context() as patch:
+        patch.setattr(series, "add_product_into", counted)
+        got = geometric_inverse(B, N, h)
+    return got, calls
+
+
+def test_geometric_inverse_forms_no_product_outside_the_band_of_h_to_the_k(monkeypatch):
+    # H = x*t + y*t^2 + z*t^3 is dense, so every order k..3k of H^k is nonzero:
+    # a product with a zero operand means an order outside that band was visited
+    y, z = Polynomial.variable("y"), Polynomial.variable("z")
+    B = [one, -x, -y, -z]
+    for h in (1, 3):
+        got, calls = geometric_products(monkeypatch, B, 12, h)
+        assert calls and all(calls)
+        assert got == multinomial_inverse(B, 12, h)
     # the same with a gap in H (B_2 = 0) and a power above one
     B = [one, -x, zero, -z]
     assert geometric_inverse(B, 12, 3) == multinomial_inverse(B, 12, 3)
+
+
+def test_geometric_inverse_forms_as_many_products_for_every_power(monkeypatch):
+    # h enters only as the binomial weight of each H^k: no power of 1/B is
+    # formed, so B^-8 costs the products of 1/B
+    y, z = Polynomial.variable("y"), Polynomial.variable("z")
+    B = [one, -x, -y, -z]
+    counts = {h: len(geometric_products(monkeypatch, B, 12, h)[1]) for h in (1, 2, 3, 8)}
+    assert len(set(counts.values())) == 1, counts
 
 
 def test_geometric_inverse_of_one_minus_t():
