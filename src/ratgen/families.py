@@ -1,47 +1,41 @@
 """Catalog of the named polynomial families and the initial-value auditor.
 
-Each family is declared once: a builder decorated with :func:`_family`,
-which registers its name, summary and parameters.  The builder returns the
-generating-function components exactly as printed in the source table,
-together with the table's stated initial values and recursive formula.
-Where the printed numerator does not generate the stated values, the
-builder also gives a canonical numerator that does.  Three rows are
-internally inconsistent as printed (pell, horadam_first, pell_lucas), and
-the horadam_second row states a constant term its printed numerator cannot
-produce; the auditor exists to demonstrate those discrepancies rather than
-paper over them.
+Each family is one row of the source table, stated once as expression text:
+its denominator, its printed numerator and, where the printed numerator
+does not generate the stated values, a canonical numerator that does; the
+stated initial values as a comma-separated list; and the table's recursive
+formula as sum_j feedback_j * t^j.  :func:`build_parts` substitutes the
+resolved parameters into the text with ``str.format``: an ``int`` goes in as
+its digits and a :class:`Polynomial` as ``(format_poly(A))``, which reads
+back exactly by the parser's round-trip contract.  Each piece is then read
+with ``split_in_t(parse_poly(...))``.  Exponents in the grammar are literals,
+so a sum of parameters in an exponent is written as a product of powers,
+``t^{b}*t^{c}``.
 
-All catalog data is built on demand from parameters; nothing is mutated
-after construction.
+Three rows are internally inconsistent as printed (pell, horadam_first,
+pell_lucas), and the horadam_second row states a constant term its printed
+numerator cannot produce; the auditor exists to demonstrate those
+discrepancies rather than paper over them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Mapping
 
-from .errors import BadParameter, UnknownFamily
-from .parser import MAX_EXPONENT
+from .errors import BadParameter, TooManyDigits, UnknownFamily
+from .parser import MAX_EXPONENT, format_poly, parse_poly, split_in_t
 from .poly import RESERVED_VARIABLE, Polynomial
 from .recurrence import RationalGF, derive_recurrence, expand_family
 from .series import SeriesPrefix
-
-_ZERO = Polynomial.zero()
-_ONE = Polynomial.one()
-_TWO = Polynomial.constant(2)
-_X = Polynomial.variable("x")
-
-
-def _const(c: int) -> Polynomial:
-    return Polynomial.constant(c)
 
 
 @dataclass(frozen=True)
 class ParamSpec:
     """A family parameter, typed by its default: ``int`` or :class:`Polynomial`.
 
-    An ``int`` parameter that sizes a tuple or an exponent has a ``maximum``,
-    so a huge value is refused before anything is allocated.
+    An ``int`` parameter that sizes an exponent has a ``maximum``, so a huge
+    value is refused before anything is built.
     """
 
     name: str
@@ -52,21 +46,14 @@ class ParamSpec:
 
 @dataclass(frozen=True)
 class FamilyParts:
-    """Instantiated components of one family.
-
-    ``numerator_canonical`` defaults to the printed numerator.
-    """
+    """Instantiated components of one family."""
 
     numerator_printed: tuple[Polynomial, ...]
     denominator: tuple[Polynomial, ...]
     stated_initial_values: tuple[Polynomial, ...] | None
     expected_feedback: tuple[Polynomial, ...]
-    numerator_canonical: tuple[Polynomial, ...] | None = None
-    notes: tuple[str, ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.numerator_canonical is None:
-            object.__setattr__(self, "numerator_canonical", self.numerator_printed)
+    numerator_canonical: tuple[Polynomial, ...]
+    notes: tuple[str, ...]
 
     def gf(self, mode: str) -> RationalGF:
         """The generating function in the printed or canonical reading."""
@@ -77,10 +64,22 @@ class FamilyParts:
 
 @dataclass(frozen=True)
 class FamilySpec:
+    """One row of the source table; each text is a template over ``params``.
+
+    ``stated`` lists the table's initial values P_0, P_1, .. (None when the
+    table states none), and ``feedback`` is its recursive formula
+    P_k = sum_j feedback_j * P_{k-j}, written as sum_j feedback_j * t^j.
+    """
+
     name: str
     summary: str
     params: tuple[ParamSpec, ...]
-    build: Callable[[dict], FamilyParts]
+    denominator: str
+    numerator: str
+    stated: str | None
+    feedback: str
+    canonical: str | None = None
+    notes: tuple[str, ...] = ()
 
 
 def _resolve_params(spec: FamilySpec, parameters: Mapping[str, object] | None) -> dict:
@@ -88,31 +87,21 @@ def _resolve_params(spec: FamilySpec, parameters: Mapping[str, object] | None) -
     resolved: dict[str, object] = {}
     for p in spec.params:
         value = given.pop(p.name, p.default)
+        where = f"{spec.name}: parameter {p.name}"
         if isinstance(p.default, int):
             if isinstance(value, bool) or not isinstance(value, int):
-                raise BadParameter(
-                    f"{spec.name}: parameter {p.name} must be an integer"
-                )
+                raise BadParameter(f"{where} must be an integer")
             if p.minimum is not None and value < p.minimum:
-                raise BadParameter(
-                    f"{spec.name}: parameter {p.name} must be >= {p.minimum}"
-                )
+                raise BadParameter(f"{where} must be >= {p.minimum}")
             if p.maximum is not None and value > p.maximum:
-                raise BadParameter(
-                    f"{spec.name}: parameter {p.name} must be <= {p.maximum}"
-                )
+                raise BadParameter(f"{where} must be <= {p.maximum}")
         else:
             if isinstance(value, int) and not isinstance(value, bool):
-                value = _const(value)
+                value = Polynomial.constant(value)
             if not isinstance(value, Polynomial):
-                raise BadParameter(
-                    f"{spec.name}: parameter {p.name} must be a polynomial"
-                )
+                raise BadParameter(f"{where} must be a polynomial")
             if value.mentions(RESERVED_VARIABLE):
-                raise BadParameter(
-                    f"{spec.name}: parameter {p.name} must not mention "
-                    f"the series variable"
-                )
+                raise BadParameter(f"{where} must not mention the series variable")
         resolved[p.name] = value
     if given:
         extra = ", ".join(sorted(given))
@@ -122,21 +111,8 @@ def _resolve_params(spec: FamilySpec, parameters: Mapping[str, object] | None) -
 
 # -- the catalog -------------------------------------------------------------
 
-_CATALOG: dict[str, FamilySpec] = {}
-
-
-def _family(name: str, summary: str, *params: ParamSpec):
-    """Register the decorated builder as the catalog entry ``name``."""
-
-    def register(build: Callable[[dict], FamilyParts]) -> Callable[[dict], FamilyParts]:
-        _CATALOG[name] = FamilySpec(name, summary, params, build)
-        return build
-
-    return register
-
-
 _M = ParamSpec("m", 2, minimum=2, maximum=MAX_EXPONENT)  # t-degree of the denominator
-_A = ParamSpec("A", _ZERO)  # numerator coefficient of t
+_A = ParamSpec("A", Polynomial.zero())  # numerator coefficient of t
 _P = ParamSpec("p", 1)  # coefficient of x*t
 _Q = ParamSpec("q", 1)  # coefficient of t^2
 
@@ -145,173 +121,51 @@ _NUMERATOR_T_NOTE = (
     "stated initial value 0; canonical numerator is t"
 )
 
-
-def _fibonacci_like(m: int) -> tuple[tuple[Polynomial, ...], tuple[Polynomial, ...]]:
-    """Denominator 1 - x*t - t^m and its recursive formula x, 0, .., 0, 1."""
-    gap = (_ZERO,) * (m - 2)
-    return (_ONE, -_X, *gap, -_ONE), (_X, *gap, _ONE)
-
-
-@_family("fibonacci", "Fibonacci polynomials, generated by t / (1 - x*t - t^2)")
-def _fibonacci(params: dict) -> FamilyParts:
-    return FamilyParts(
-        numerator_printed=(_ZERO, _ONE),
-        denominator=(_ONE, -_X, -_ONE),
-        stated_initial_values=(_ZERO, _ONE),
-        expected_feedback=(_X, _ONE),
-    )
-
-
-@_family("catalan", "Catalan polynomials, generated by 1 / (1 - t + x*t^2)")
-def _catalan(params: dict) -> FamilyParts:
-    return FamilyParts(
-        numerator_printed=(_ONE,),
-        denominator=(_ONE, -_ONE, _X),
-        stated_initial_values=(_ONE, _ONE),
-        expected_feedback=(_ONE, -_X),
-    )
-
-
-@_family("gen_fibonacci", "generalized Fibonacci polynomials, t / (1 - x*t - t^m)", _M)
-def _gen_fibonacci(params: dict) -> FamilyParts:
-    den, feedback = _fibonacci_like(params["m"])
-    return FamilyParts(
-        numerator_printed=(_ZERO, _ONE),
-        denominator=den,
-        stated_initial_values=None,
-        expected_feedback=feedback,
-    )
-
-
-@_family("jacobsthal", "Jacobsthal polynomials, t / (1 - t - x*t^2)")
-def _jacobsthal(params: dict) -> FamilyParts:
-    return FamilyParts(
-        numerator_printed=(_ZERO, _ONE),
-        denominator=(_ONE, -_ONE, -_X),
-        stated_initial_values=(_ZERO, _ONE, _ONE),
-        expected_feedback=(_ONE, _X),
-        notes=(
-            "table states J_1 = J_2 = 1; the expansion starts at k = 0 "
-            "with value 0, so the stated values are recorded as (0, 1, 1)",
-        ),
-    )
-
-
-@_family(
-    "horadam_first",
-    "Horadam polynomials of the first kind, 1 / (1 - p*x*t - q*t^2)",
-    _P,
-    _Q,
-)
-def _horadam_first(params: dict) -> FamilyParts:
-    p, q = params["p"], params["q"]
-    return FamilyParts(
-        numerator_printed=(_ONE,),
-        numerator_canonical=(_ZERO, _ONE),
-        denominator=(_ONE, _const(-p) * _X, _const(-q)),
-        stated_initial_values=(_ZERO, _ONE),
-        expected_feedback=(_const(p) * _X, _const(q)),
-        notes=(_NUMERATOR_T_NOTE,),
-    )
-
-
-@_family(
-    "horadam_second",
-    "Horadam polynomials of the second kind, (1 + q*t^2) / (1 - p*x*t - q*t^2)",
-    _P,
-    _Q,
-)
-def _horadam_second(params: dict) -> FamilyParts:
-    p, q = params["p"], params["q"]
-    return FamilyParts(
-        numerator_printed=(_ONE, _ZERO, _const(q)),
-        denominator=(_ONE, _const(-p) * _X, _const(-q)),
-        stated_initial_values=(_TWO, _X),
-        expected_feedback=(_const(p) * _X, _const(q)),
-        notes=(
-            "printed numerator 1+q*t^2 yields constant term 1, not the "
-            "stated 2 (and p*x at k = 1); no canonical fixup is applied, "
-            "the audit reports the discrepancy",
-        ),
-    )
-
-
-@_family("pell", "Pell polynomials, t / (1 - 2*x*t - t^2)")
-def _pell(params: dict) -> FamilyParts:
-    two_x = _TWO * _X
-    return FamilyParts(
-        numerator_printed=(_ONE,),
-        numerator_canonical=(_ZERO, _ONE),
-        denominator=(_ONE, -two_x, -_ONE),
-        stated_initial_values=(_ZERO, _ONE),
-        expected_feedback=(two_x, _ONE),
-        notes=(_NUMERATOR_T_NOTE,),
-    )
-
-
-@_family("pell_lucas", "Pell-Lucas polynomials, (2 - 2*x*t) / (1 - 2*x*t - t^2)")
-def _pell_lucas(params: dict) -> FamilyParts:
-    two_x = _TWO * _X
-    return FamilyParts(
-        numerator_printed=(two_x, _TWO),
-        numerator_canonical=(_TWO, -two_x),
-        denominator=(_ONE, -two_x, -_ONE),
-        stated_initial_values=(_TWO, two_x),
-        expected_feedback=(two_x, _ONE),
-        notes=(
-            "printed numerator 2x+2t yields constant term 2x, not the "
-            "stated 2; canonical numerator 2-2xt reproduces (2, 2x)",
-        ),
-    )
-
-
-@_family("gen_lucas", "generalized Lucas polynomials, (2 - x*t) / (1 - x*t - t^m)", _M)
-def _gen_lucas(params: dict) -> FamilyParts:
-    den, feedback = _fibonacci_like(params["m"])
-    return FamilyParts(
-        numerator_printed=(_TWO, -_X),
-        denominator=den,
-        stated_initial_values=None,
-        expected_feedback=feedback,
-    )
-
-
-@_family(
-    "gen_catalan",
-    "generalized Catalan polynomials, (1 + A*t) / (1 - m*t + x*t^m)",
-    _M,
-    _A,
-)
-def _gen_catalan(params: dict) -> FamilyParts:
-    m, A = params["m"], params["A"]
-    gap = (_ZERO,) * (m - 2)
-    return FamilyParts(
-        numerator_printed=(_ONE, A),
-        denominator=(_ONE, _const(-m), *gap, _X),
-        stated_initial_values=(_ONE, A + _const(m)),
-        expected_feedback=(_const(m), *gap, -_X),
-    )
-
-
-@_family(
-    "gen_two_var_fibonacci",
-    "two-variable Fibonacci polynomials, (1 + A*t) / (1 - x^a*t - y^b*t^(b+c))",
-    ParamSpec("a", 1, minimum=1, maximum=MAX_EXPONENT),  # exponent of x
-    ParamSpec("b", 1, minimum=1, maximum=MAX_EXPONENT),  # exponent of y
-    ParamSpec("c", 1, minimum=1, maximum=MAX_EXPONENT),  # t-degree offset
-    _A,
-)
-def _gen_two_var_fibonacci(params: dict) -> FamilyParts:
-    a, b, c, A = params["a"], params["b"], params["c"], params["A"]
-    x_a = _X**a
-    y_b = Polynomial.variable("y") ** b
-    gap = (_ZERO,) * (b + c - 2)
-    return FamilyParts(
-        numerator_printed=(_ONE, A),
-        denominator=(_ONE, -x_a, *gap, -y_b),
-        stated_initial_values=(_ONE, A + x_a),
-        expected_feedback=(x_a, *gap, y_b),
-    )
+# name, summary, params; then denominator, printed numerator, stated values and
+# recursive formula, with the canonical numerator and notes by keyword
+_CATALOG: dict[str, FamilySpec] = {spec.name: spec for spec in (
+    FamilySpec("fibonacci", "Fibonacci polynomials, generated by t / (1 - x*t - t^2)", (),
+               "1 - x*t - t^2", "t", "0, 1", "x*t + t^2"),
+    FamilySpec("catalan", "Catalan polynomials, generated by 1 / (1 - t + x*t^2)", (),
+               "1 - t + x*t^2", "1", "1, 1", "t - x*t^2"),
+    FamilySpec("gen_fibonacci", "generalized Fibonacci polynomials, t / (1 - x*t - t^m)",
+               (_M,), "1 - x*t - t^{m}", "t", None, "x*t + t^{m}"),
+    FamilySpec("jacobsthal", "Jacobsthal polynomials, t / (1 - t - x*t^2)", (),
+               "1 - t - x*t^2", "t", "0, 1, 1", "t + x*t^2",
+               notes=("table states J_1 = J_2 = 1; the expansion starts at k = 0 "
+                      "with value 0, so the stated values are recorded as (0, 1, 1)",)),
+    FamilySpec("horadam_first",
+               "Horadam polynomials of the first kind, 1 / (1 - p*x*t - q*t^2)", (_P, _Q),
+               "1 - {p}*x*t - {q}*t^2", "1", "0, 1", "{p}*x*t + {q}*t^2",
+               canonical="t", notes=(_NUMERATOR_T_NOTE,)),
+    FamilySpec("horadam_second", "Horadam polynomials of the second kind, "
+               "(1 + q*t^2) / (1 - p*x*t - q*t^2)", (_P, _Q),
+               "1 - {p}*x*t - {q}*t^2", "1 + {q}*t^2", "2, x", "{p}*x*t + {q}*t^2",
+               notes=("printed numerator 1+q*t^2 yields constant term 1, not the "
+                      "stated 2 (and p*x at k = 1); no canonical fixup is applied, "
+                      "the audit reports the discrepancy",)),
+    FamilySpec("pell", "Pell polynomials, t / (1 - 2*x*t - t^2)", (),
+               "1 - 2*x*t - t^2", "1", "0, 1", "2*x*t + t^2",
+               canonical="t", notes=(_NUMERATOR_T_NOTE,)),
+    FamilySpec("pell_lucas", "Pell-Lucas polynomials, (2 - 2*x*t) / (1 - 2*x*t - t^2)", (),
+               "1 - 2*x*t - t^2", "2*x + 2*t", "2, 2*x", "2*x*t + t^2",
+               canonical="2 - 2*x*t",
+               notes=("printed numerator 2x+2t yields constant term 2x, not the "
+                      "stated 2; canonical numerator 2-2xt reproduces (2, 2x)",)),
+    FamilySpec("gen_lucas", "generalized Lucas polynomials, (2 - x*t) / (1 - x*t - t^m)",
+               (_M,), "1 - x*t - t^{m}", "2 - x*t", None, "x*t + t^{m}"),
+    FamilySpec("gen_catalan",
+               "generalized Catalan polynomials, (1 + A*t) / (1 - m*t + x*t^m)", (_M, _A),
+               "1 - {m}*t + x*t^{m}", "1 + {A}*t", "1, {A} + {m}", "{m}*t - x*t^{m}"),
+    FamilySpec("gen_two_var_fibonacci", "two-variable Fibonacci polynomials, "
+               "(1 + A*t) / (1 - x^a*t - y^b*t^(b+c))",
+               (ParamSpec("a", 1, minimum=1, maximum=MAX_EXPONENT),  # exponent of x
+                ParamSpec("b", 1, minimum=1, maximum=MAX_EXPONENT),  # exponent of y
+                ParamSpec("c", 1, minimum=1, maximum=MAX_EXPONENT),  # t-degree offset
+                _A),
+               "1 - x^{a}*t - y^{b}*t^{b}*t^{c}", "1 + {A}*t", "1, {A} + x^{a}",
+               "x^{a}*t + y^{b}*t^{b}*t^{c}"),
+)}
 
 
 MODES = ("printed", "canonical")
@@ -330,13 +184,40 @@ def get_family(name: str) -> FamilySpec:
         raise UnknownFamily(f"unknown family {name!r}; known: {known}") from None
 
 
+def _param_text(spec: FamilySpec, name: str, value: int | Polynomial) -> str:
+    """A parameter as row text: an int's digits, a polynomial's text in parentheses."""
+    try:
+        return f"({format_poly(value)})" if isinstance(value, Polynomial) else str(value)
+    except (TooManyDigits, ValueError):  # past the interpreter's digit limit
+        raise TooManyDigits(f"{spec.name}: parameter {name}") from None
+
+
 def build_parts(
     name: str, parameters: Mapping[str, object] | None = None
 ) -> tuple[FamilyParts, dict]:
     """Instantiated components plus the fully-resolved parameter map."""
     spec = get_family(name)
     resolved = _resolve_params(spec, parameters)
-    return spec.build(resolved), resolved
+    texts = {key: _param_text(spec, key, value) for key, value in resolved.items()}
+
+    def read(template: str) -> tuple[Polynomial, ...]:
+        return split_in_t(parse_poly(template.format_map(texts)))
+
+    printed = read(spec.numerator)
+    # the stated values stay a list: read as one polynomial in t, a trailing
+    # zero value would be trimmed and its check lost
+    stated = None if spec.stated is None else tuple(
+        parse_poly(value.format_map(texts)) for value in spec.stated.split(",")
+    )
+    parts = FamilyParts(
+        numerator_printed=printed,
+        denominator=read(spec.denominator),
+        stated_initial_values=stated,
+        expected_feedback=read(spec.feedback)[1:],
+        numerator_canonical=printed if spec.canonical is None else read(spec.canonical),
+        notes=spec.notes,
+    )
+    return parts, resolved
 
 
 def instantiate(

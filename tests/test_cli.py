@@ -471,6 +471,19 @@ def test_family_audit_fibonacci_all_match(capsys):
     assert "recurrence feedback vs table: match" in out
 
 
+@pytest.mark.parametrize("name, warn", [
+    ("horadam_first", "WARN: printed-mode values disagree at k=0, 1"),
+    ("horadam_second", "WARN: canonical-mode values disagree at k=0"),
+])
+def test_family_audit_feedback_matches_when_q_is_zero(capsys, name, warn):
+    # with q = 0 the table's formula has no t^2 term, and the derived one
+    # ends at t; the two still agree
+    code, out, _ = run(capsys, ["family", "audit", name, "--param", "q=0", "-N", "3"])
+    assert code == 0
+    assert "recurrence feedback vs table: match" in out
+    assert [line for line in out.splitlines() if line.startswith("WARN")] == [warn]
+
+
 def test_bad_flags_exit_2():
     with pytest.raises(SystemExit) as info:
         main(["expand", "--nonsense"])
@@ -716,7 +729,7 @@ def test_more_variable_names_than_the_table_holds_exit_2():
     verify = ["--den", "1 - t", "-N", "2", "--oracle", "all"]
     done = _cli_fresh("verify", "--num", names(MAX_VARIABLES - 16), *verify)
     assert done.returncode == 0 and done.stdout.count("PASS") == 4
-    done = _cli_fresh("verify", "--num", names(MAX_VARIABLES), *verify)
+    done = _cli_fresh("verify", "--num", names(MAX_VARIABLES + 1), *verify)
     assert (done.returncode, done.stdout) == (2, "")
     assert done.stderr == (
         f"error: in --num expression: more than {MAX_VARIABLES} distinct variable names\n"

@@ -2,7 +2,7 @@
 
 import pytest
 
-from ratgen.errors import BadParameter, UnknownFamily
+from ratgen.errors import BadParameter, TooManyDigits, UnknownFamily
 from ratgen.families import audit, build_parts, instantiate, list_families
 from ratgen.parser import MAX_EXPONENT, parse_poly, split_in_t
 from ratgen.poly import Polynomial
@@ -82,6 +82,24 @@ def test_size_parameters_stop_at_the_exponent_bound():
     assert parts.denominator == (one, c(-huge) * x, c(-huge))
 
 
+def test_parameters_past_the_digit_limit_raise_a_typed_error():
+    huge = 10**5000
+    with pytest.raises(TooManyDigits, match="^horadam_first: parameter p has more than"):
+        build_parts("horadam_first", {"p": huge})
+    with pytest.raises(TooManyDigits, match="^gen_catalan: parameter A has more than"):
+        build_parts("gen_catalan", {"A": c(huge) * x})
+
+
+def test_audit_keeps_a_stated_value_of_zero():
+    # P_1 = A + m = 0: the stated values end in zero, and both are compared
+    report = audit("gen_catalan", {"m": 2, "A": -2}, 3)
+    for mode in ("printed", "canonical"):
+        checks = report.mode(mode).checks
+        assert [(chk.k, chk.stated, chk.match) for chk in checks] == [
+            (0, one, True), (1, zero, True)
+        ]
+
+
 def test_fibonacci_components():
     gf = instantiate("fibonacci", None, "printed")
     assert gf.numerator == (zero, one)
@@ -159,9 +177,13 @@ def test_audit_jacobsthal_offset_convention():
 
 
 def test_audit_feedback_against_table():
-    for spec in list_families():
-        report = audit(spec.name, None, 2)
-        assert report.feedback_match, spec.name
+    # a zero coefficient of the formula must not leave a trailing zero
+    zeros = [(name, params) for name in ("horadam_first", "horadam_second")
+             for params in ({"q": 0}, {"p": 0}, {"p": 0, "q": 0})]
+    for name, params in [(spec.name, None) for spec in list_families()] + zeros:
+        report = audit(name, params, 2)
+        assert report.feedback_match, (name, params)
+    assert audit("horadam_first", {"p": 0, "q": 0}).feedback_expected == ()
 
 
 def test_gen_catalan_recurrence_structure():
@@ -244,9 +266,9 @@ def test_build_parts_resolves_defaults():
 
 # The source table, one row per (family, parameters): printed numerator,
 # canonical numerator, denominator, stated initial values (None when the
-# table states none) and the recursive formula's feedback.  Everything is
-# expression text, read through the parser, so it shares no code with the
-# catalog's builders.
+# table states none) and the recursive formula's feedback.  The rows are
+# written out for fixed parameters and read here one value at a time, so a
+# wrong template or substitution in the catalog shows.
 TABLE = [
     ("catalan", {}, "1", "1", "1 - t + x*t^2", ["1", "1"], ["1", "-x"]),
     ("fibonacci", {}, "t", "t", "1 - x*t - t^2", ["0", "1"], ["x", "1"]),

@@ -357,6 +357,13 @@ def test_output_does_not_depend_on_first_seen_variable_order():
     }
 
 
+def test_importing_the_package_interns_no_name():
+    names = _run_fresh("import json, ratgen, ratgen.cli\n"
+                       "from ratgen import poly\n"
+                       "print(json.dumps(poly._NAMES))")
+    assert names == []
+
+
 # Fills the interning table in a fresh interpreter, then computes with the
 # names that own the widest fields.
 _FULL_TABLE_SCRIPT = """
@@ -367,7 +374,7 @@ from ratgen.poly import MAX_VARIABLES, Polynomial
 
 names = []
 try:
-    for i in range(1, MAX_VARIABLES + 1):
+    for i in range(1, MAX_VARIABLES + 2):
         Polynomial.variable(f"v{i}")
         names.append(f"v{i}")
 except TooManyVariables as exc:
@@ -393,8 +400,8 @@ print(json.dumps({
 
 def test_interning_table_is_capped_and_its_last_names_compute_exactly():
     out = _run_fresh(_FULL_TABLE_SCRIPT)
-    n = out.pop("accepted")  # the import itself may intern a few names
-    assert MAX_VARIABLES - 8 <= n < MAX_VARIABLES
+    n = out.pop("accepted")  # the import interns no name, so all of them fit
+    assert n == MAX_VARIABLES
     last, prev = f"v{n}", f"v{n - 1}"
     assert out == {
         "error": f"more than {MAX_VARIABLES} distinct variable names",
