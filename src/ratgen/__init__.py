@@ -16,6 +16,7 @@ from .errors import (
     NegativeExponent,
     NegativeOrder,
     NonIntegerExponent,
+    NonIntegerOrder,
     OrderMismatch,
     ParseError,
     PowerNotOne,
@@ -54,6 +55,7 @@ __all__ = [
     "NegativeExponent",
     "NegativeOrder",
     "NonIntegerExponent",
+    "NonIntegerOrder",
     "OrderMismatch",
     "ParseError",
     "Polynomial",

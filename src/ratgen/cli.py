@@ -377,33 +377,34 @@ def _cmd_family_expand(args: argparse.Namespace) -> int:
 
 
 def _cmd_family_audit(args: argparse.Namespace) -> int:
+    """The audit report, written once, after its last line: a line that
+    fails prints none."""
     params = _parse_family_params(args.param)
     report = families_mod.audit(args.name, params, args.N)
-    print(f"family: {report.family}")
+    lines = [f"family: {report.family}"]
     if report.parameters:
         rendered = ", ".join(
             f"{k}={v}" for k, v in _family_query_params(report.parameters).items()
         )
-        print(f"parameters: {rendered}")
+        lines.append(f"parameters: {rendered}")
     for mode in families_mod.MODES:
         mode_audit = report.mode(mode)
-        print(f"mode: {mode}")
-        print(
+        lines.append(f"mode: {mode}")
+        lines.append(
             "  expansion: "
             + ", ".join(format_poly(p) for p in mode_audit.expansion)
         )
         if not mode_audit.checks:
-            print("  no stated initial values to compare")
+            lines.append("  no stated initial values to compare")
         for check in mode_audit.checks:
             verdict = "match" if check.match else "MISMATCH"
-            print(
+            lines.append(
                 f"  k={check.k}: computed {format_poly(check.computed)}, "
                 f"stated {format_poly(check.stated)} -> {verdict}"
             )
     feedback = "match" if report.feedback_match else "MISMATCH"
-    print(f"recurrence feedback vs table: {feedback}")
-    for note in report.notes:
-        print(f"note: {note}")
+    lines.append(f"recurrence feedback vs table: {feedback}")
+    lines.extend(f"note: {note}" for note in report.notes)
 
     requested = report.mode(args.mode)
     problems: list[str] = []
@@ -412,16 +413,14 @@ def _cmd_family_audit(args: argparse.Namespace) -> int:
         problems.append(f"{args.mode}-mode values disagree at k={ks}")
     if not report.feedback_match:
         problems.append("derived recurrence disagrees with the table")
-    if problems:
-        label = "MISMATCH" if args.mode == "printed" else "WARN"
-        for problem in problems:
-            print(f"{label}: {problem}")
-        return 1 if args.mode == "printed" else 0
+    label = "MISMATCH" if args.mode == "printed" else "WARN"
+    lines.extend(f"{label}: {problem}" for problem in problems)
     other = report.mode("printed" if args.mode == "canonical" else "canonical")
-    if not other.all_match:
+    if not problems and not other.all_match:
         ks = ", ".join(str(k) for k in other.mismatches)
-        print(f"WARN: {other.mode}-mode values disagree at k={ks}")
-    return 0
+        lines.append(f"WARN: {other.mode}-mode values disagree at k={ks}")
+    sys.stdout.writelines(line + "\n" for line in lines)
+    return 1 if problems and args.mode == "printed" else 0
 
 
 @lru_cache(maxsize=1)

@@ -32,6 +32,10 @@ class NegativeOrder(RatGenError):
     """A negative truncation order was requested."""
 
 
+class NonIntegerOrder(RatGenError, TypeError):
+    """A truncation order that is not an integer."""
+
+
 class PowerNotOne(RatGenError):
     """An operation that requires denominator power 1 got a higher power."""
 

@@ -116,23 +116,6 @@ def check_degree(degree: int) -> None:
         )
 
 
-def max_degree(polys: Iterable[Polynomial]) -> int:
-    """The largest total degree in a sequence of polynomials; 0 if empty."""
-    return max((p.total_degree() for p in polys), default=0)
-
-
-def growth_degree(feedback: Sequence[Polynomial], N: int) -> int:
-    """How far N steps of X_k = sum_j feedback[j-1] * X_{k-j} raise the degree.
-
-    With r = max_j deg feedback_j / j, induction on k gives
-    deg X_k <= max deg of the start + floor(k*r), and every product
-    feedback_j * X_{k-j} obeys the same bound; the result is floor(N*r).
-    """
-    return max(
-        (N * p.total_degree() // j for j, p in enumerate(feedback, 1)), default=0
-    )
-
-
 def _shift(name: str) -> int:
     shift = _SHIFTS.get(name)
     if shift is None:

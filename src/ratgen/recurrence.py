@@ -29,36 +29,22 @@ from itertools import chain, repeat
 from operator import mul
 from typing import Iterator, Mapping, Sequence
 
-from .errors import NegativeOrder, PowerNotOne
-from .poly import (
-    Polynomial,
-    RawTerms,
-    add_product_into,
-    check_degree,
-    growth_degree,
-    max_degree,
-    require_values,
-)
+from .errors import PowerNotOne
+from .poly import Polynomial, RawTerms, add_product_into, require_values
 from .series import (
     SeriesPrefix,
-    _check_denominator,
     check_convolution_degree,
+    check_denominator,
+    check_growth,
+    check_order,
+    check_power,
     check_t_free,
     convolve,
     iter_convolve,
+    trimmed,
 )
 
 _ZERO = Polynomial.zero()
-
-
-def _as_trimmed(seq: Sequence[Polynomial], what: str) -> tuple[Polynomial, ...]:
-    coeffs = list(seq)
-    if not coeffs:
-        raise ValueError(f"{what} must have at least one coefficient")
-    check_t_free(coeffs, what)
-    while len(coeffs) > 1 and coeffs[-1].is_zero():
-        coeffs.pop()
-    return tuple(coeffs)
 
 
 @dataclass(frozen=True)
@@ -77,13 +63,13 @@ class RationalGF:
     power: int = 1
 
     def __post_init__(self) -> None:
-        num = _as_trimmed(self.numerator, "numerator")
-        den = _as_trimmed(self.denominator, "denominator")
-        _check_denominator(den)
-        if not isinstance(self.power, int) or self.power < 1:
-            raise ValueError(f"power must be a positive integer, got {self.power}")
-        object.__setattr__(self, "numerator", num)
-        object.__setattr__(self, "denominator", den)
+        num = tuple(self.numerator)
+        if not num:
+            raise ValueError("numerator must have at least one coefficient")
+        check_t_free(num, "numerator")
+        object.__setattr__(self, "numerator", trimmed(num))
+        object.__setattr__(self, "denominator", check_denominator(self.denominator))
+        check_power(self.power)
 
     @property
     def m(self) -> int:
@@ -100,11 +86,7 @@ class RationalGF:
         """
         if self.power > 1:
             return raise_denominator(self.denominator, self.power, N)
-        if N is None:
-            return self.denominator
-        if N < 0:
-            raise NegativeOrder(f"order must be nonnegative, got {N}")
-        return self.denominator[: N + 1]
+        return self.denominator if N is None else self.denominator[: check_order(N) + 1]
 
 
 @dataclass(frozen=True)
@@ -137,10 +119,9 @@ class Recurrence:
         The engine's recurrence loop, which :func:`iter_family` runs for
         h = 1.  A negative N or a degree past the bound raises at the call,
         before the first term."""
-        if N < 0:
-            raise NegativeOrder(f"order must be nonnegative, got {N}")
+        N = check_order(N)
         feedback, forcing = self.feedback, self.forcing
-        check_degree(max_degree(forcing) + growth_degree(feedback, N))
+        check_growth(forcing, feedback, N)
         one = Polynomial.one()
         # with at most one name in play, each P_k is handed its variable set,
         # so formatting it need not read every monomial to learn it
@@ -181,17 +162,15 @@ def raise_denominator(
     top is min(N, h*n) for h > 0, where N = None gives all h*n orders, and N
     for h < 0, whose power series has no last order and so needs N.
     """
-    _check_denominator(B)
-    if h == 0:
-        raise ValueError("power must be a nonzero integer, got 0")
+    B = check_denominator(B)
+    if not isinstance(h, int) or h == 0:
+        raise ValueError(f"power must be a nonzero integer, got {h}")
     if h < 0 and N is None:
         raise ValueError(f"power {h} is a power series; give an order N")
-    if N is not None and N < 0:
-        raise NegativeOrder(f"order must be nonnegative, got {N}")
-    B = _as_trimmed(B, "denominator")
     n = len(B) - 1
-    top = N if h < 0 else h * n if N is None else min(N, h * n)
-    check_degree(growth_degree(B[1:], top))
+    N = h * n if N is None else check_order(N)
+    top = N if h < 0 else min(N, h * n)
+    check_growth((), B[1:], top)
     return tuple(_iter_power(B, h, top))
 
 
@@ -227,12 +206,11 @@ def iter_family(gf: RationalGF, N: int) -> Iterator[Polynomial]:
     and B^h is never built.  A negative N or a degree past the bound raises
     at the call, before the first term.
     """
+    N = check_order(N)
     if gf.power == 1:
         return derive_recurrence(gf, N).iter_terms(N)
-    if N < 0:
-        raise NegativeOrder(f"order must be nonnegative, got {N}")
     B = gf.denominator
-    check_degree(max_degree(gf.numerator) + growth_degree(B[1:], N))
+    check_growth(gf.numerator, B[1:], N)
     return iter_convolve(gf.numerator, _iter_power(B, -gf.power, N))
 
 
@@ -254,8 +232,7 @@ def iter_values(gf: RationalGF, point: Mapping[str, int], N: int) -> Iterator[in
     negative N or a variable of A or B that ``point`` lacks raises at the
     call, before the first value.
     """
-    if N < 0:
-        raise NegativeOrder(f"order must be nonnegative, got {N}")
+    N = check_order(N)
     A, B, h = gf.numerator, gf.denominator, gf.power
     require_values(chain.from_iterable(p.variables() for p in A + B), point)
     if h == 1:
@@ -308,7 +285,6 @@ def expand_family(gf: RationalGF, N: int) -> SeriesPrefix:
 
 def expand_inverse(B: Sequence[Polynomial], N: int) -> SeriesPrefix:
     """Q_0..Q_N of 1/B, the family of numerator 1: Q_k = -sum B_j Q_{k-j}."""
-    _check_denominator(B)
     return expand_family(RationalGF((Polynomial.one(),), B), N)
 
 
@@ -341,6 +317,7 @@ def identity_residual(
         raise PowerNotOne(
             "identity requires power 1; reduce the denominator first"
         )
+    N = check_order(N)
     A = gf.numerator
     B = gf.denominator
     m = gf.m

@@ -5,9 +5,12 @@ whose coefficients are t-free polynomials.  Coefficients are checked for t
 once, where they enter the library: a prefix built from outside, and the
 inputs of the functions here and in :mod:`ratgen.recurrence`.  What those
 functions build from checked inputs cannot mention t, so they wrap it with
-the unchecked :meth:`SeriesPrefix._unchecked`.  All identities here are
-exact; no convergence argument is needed because every computation touches
-only finitely many orders.
+the unchecked :meth:`SeriesPrefix._unchecked`.  Each rule on those inputs
+has one gate here, which each public entry calls once, never per term:
+:func:`check_order` for N, :func:`check_denominator` for B (B_0 = 1, no t),
+:func:`check_power` for h and :func:`check_growth` for the degree bound.
+All identities here are exact; no convergence argument is needed because
+every computation touches only finitely many orders.
 
 Two independent constructions give B^-h for an admissible denominator B
 (constant term 1) and a power h >= 1, reading B and h themselves:
@@ -24,19 +27,18 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, islice, repeat
 from math import comb
-from operator import mul
+from operator import index, mul
 from typing import Iterable, Iterator, Sequence
 
-from .errors import BadConstantTerm, NegativeOrder, OrderMismatch
+from .errors import BadConstantTerm, NegativeOrder, NonIntegerOrder, OrderMismatch
 from .poly import (
     RESERVED_VARIABLE,
     Polynomial,
     RawTerms,
     add_product_into,
     check_degree,
-    growth_degree,
 )
 
 
@@ -47,6 +49,61 @@ def check_t_free(coeffs: Iterable[Polynomial], what: str) -> None:
             raise ValueError(
                 f"{what} coefficients must not mention the series variable"
             )
+
+
+def check_order(N: int) -> int:
+    """N as an int: NonIntegerOrder unless it is an integer, NegativeOrder below 0."""
+    try:
+        N = index(N)
+    except TypeError:
+        raise NonIntegerOrder(f"order must be an integer, got {N!r}") from None
+    if N < 0:
+        raise NegativeOrder(f"order must be nonnegative, got {N}")
+    return N
+
+
+def check_power(h: int) -> None:
+    """Raise ValueError unless the power h of B^-h is a positive integer."""
+    if not isinstance(h, int) or h < 1:
+        raise ValueError(f"power must be a positive integer, got {h}")
+
+
+def trimmed(coeffs: tuple[Polynomial, ...]) -> tuple[Polynomial, ...]:
+    """coeffs without its trailing zero orders; order 0 is always kept."""
+    end = len(coeffs)
+    while end > 1 and not coeffs[end - 1]:
+        end -= 1
+    return coeffs[:end]
+
+
+def check_denominator(
+    B: Iterable[Polynomial], N: int | None = None
+) -> tuple[Polynomial, ...]:
+    """B_0..B_min(n, N), the orders a caller reads (N = None reads them all),
+    with trailing zeros trimmed: BadConstantTerm unless B_0 = 1, ValueError
+    if an order read mentions t."""
+    B = tuple(islice(B, None if N is None else N + 1))
+    if not B or not B[0].is_one():
+        raise BadConstantTerm("denominator constant term must be 1")
+    check_t_free(B[1:], "denominator")
+    return trimmed(B)
+
+
+def check_growth(
+    start: Iterable[Polynomial], feedback: Sequence[Polynomial], N: int
+) -> None:
+    """Raise DegreeTooLarge if N steps of X_k = sum_j feedback[j-1] * X_{k-j},
+    started from polynomials ``start``, may pass MAX_DEGREE.
+
+    With r = max_j deg feedback_j / j, induction on k gives
+    deg X_k <= max deg of the start + floor(k*r), and every product
+    feedback_j * X_{k-j} obeys the same bound; so one check at order N
+    covers every order and every product before it.
+    """
+    check_degree(
+        max((p.total_degree() for p in start), default=0)
+        + max((N * p.total_degree() // j for j, p in enumerate(feedback, 1)), default=0)
+    )
 
 
 def _orders(coeffs: Iterable[Polynomial]) -> tuple[Polynomial, ...]:
@@ -96,9 +153,7 @@ class SeriesPrefix:
 
     def truncate(self, order: int) -> SeriesPrefix:
         """The prefix of orders 0..order; requires order <= self.order."""
-        if order < 0:
-            raise NegativeOrder(f"order must be nonnegative, got {order}")
-        if order > self.order:
+        if (order := check_order(order)) > self.order:
             raise OrderMismatch(
                 f"cannot extend order {self.order} prefix to {order}"
             )
@@ -112,8 +167,7 @@ class SeriesPrefix:
     @classmethod
     def from_polynomials(cls, seq: Sequence[Polynomial], order: int) -> SeriesPrefix:
         """A polynomial's t-coefficient list, zero-padded or cut to an order."""
-        if order < 0:
-            raise NegativeOrder(f"order must be nonnegative, got {order}")
+        order = check_order(order)
         coeffs = list(seq[: order + 1])
         coeffs.extend([Polynomial.zero()] * (order + 1 - len(coeffs)))
         return cls(coeffs)
@@ -171,25 +225,21 @@ def cauchy_mul(a: SeriesPrefix, b: SeriesPrefix) -> SeriesPrefix:
     return SeriesPrefix._unchecked(convolve(a.coeffs, b.coeffs, a.order))
 
 
-def _check_denominator(B: Sequence[Polynomial]) -> None:
-    if not B or not B[0].is_one():
-        raise BadConstantTerm("denominator constant term must be 1")
+def _check_oracle(
+    B: Sequence[Polynomial], N: int, h: int
+) -> tuple[tuple[Polynomial, ...], int]:
+    """The power oracles' gates; returns B_0..B_min(n, N), the orders they
+    read, trimmed, and N."""
+    N = check_order(N)
+    check_power(h)
+    B = check_denominator(B, N)
+    check_growth((), B[1:], N)
+    return B, N
 
 
-def _check_oracle(B: Sequence[Polynomial], N: int, h: int) -> None:
-    """The power oracles' checks, on the orders B_0..B_min(n, N) they read."""
-    _check_denominator(B)
-    if N < 0:
-        raise NegativeOrder(f"order must be nonnegative, got {N}")
-    if h < 1:
-        raise ValueError(f"power must be a positive integer, got {h}")
-    check_t_free(B[1 : N + 1], "denominator")
-    check_degree(growth_degree(B[1 : N + 1], N))
-
-
-def _nonzero_terms(B: Sequence[Polynomial], N: int) -> list[tuple[int, Polynomial]]:
-    """(l, H_l) for each nonzero order 1 <= l <= N of H = 1 - B, in increasing l."""
-    return [(l, -B[l]) for l in range(1, min(len(B) - 1, N) + 1) if B[l]]
+def _nonzero_terms(B: Sequence[Polynomial]) -> list[tuple[int, Polynomial]]:
+    """(l, H_l) for each nonzero order l >= 1 of H = 1 - B, in increasing l."""
+    return [(l, -B[l]) for l in range(1, len(B)) if B[l]]
 
 
 def geometric_inverse(
@@ -207,8 +257,8 @@ def geometric_inverse(
     Every order of B^-h has degree at most N * max_j deg B_j / j, so one
     bound, checked at entry, covers them all.
     """
-    _check_oracle(B, N, h)
-    H = _nonzero_terms(B, N)
+    B, N = _check_oracle(B, N, h)
+    H = _nonzero_terms(B)
     # H^k vanishes outside orders k*low..k*high
     low, high = (H[0][0], H[-1][0]) if H else (N + 1, 0)
     one = Polynomial.one()
@@ -254,8 +304,8 @@ def multinomial_inverse(
     N * max_j deg B_j / j, the one bound checked at entry.  Exponential in n;
     meant for desk-scale checks.
     """
-    _check_oracle(B, N, h)
-    factors = _nonzero_terms(B, N)
+    B, N = _check_oracle(B, N, h)
+    factors = _nonzero_terms(B)
     fact = list(accumulate(range(1, N + 1), mul, initial=1))
     rising = list(accumulate(range(h, h + N), mul, initial=1))  # h^(s)
     out: list[RawTerms] = [{} for _ in range(N + 1)]

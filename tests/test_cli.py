@@ -484,6 +484,16 @@ def test_family_audit_feedback_matches_when_q_is_zero(capsys, name, warn):
     assert [line for line in out.splitlines() if line.startswith("WARN")] == [warn]
 
 
+def test_family_audit_that_fails_midway_prints_no_report(capsys):
+    # P_2 of horadam_first holds p^2, of 8,001 digits: the report's first
+    # lines are built before its expansion line fails to format
+    p = "1" + "0" * 4000
+    argv = ["family", "audit", "horadam_first", "--param", f"p={p}", "-N", "3"]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == "error: a coefficient has more than 4300 decimal digits\n"
+
+
 def test_bad_flags_exit_2():
     with pytest.raises(SystemExit) as info:
         main(["expand", "--nonsense"])

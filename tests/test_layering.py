@@ -84,6 +84,14 @@ def test_only_the_engine_names_the_trusted_constructors():
             if needles and name not in allowed} == {}
 
 
+def test_the_order_and_denominator_rules_are_spelled_once_in_series():
+    # each public entry calls series' gate, so each rule has one home
+    for message in ("order must be nonnegative", "denominator constant term must be 1"):
+        spelled = {path.name: path.read_text().count(message)
+                   for path in sorted(SRC.glob("*.py"))}
+        assert {name: count for name, count in spelled.items() if count} == {"series.py": 1}
+
+
 def test_the_name_pattern_is_spelled_once_in_poly():
     # the parser scans names with poly's _NAME_RE, so the rule has one home
     pattern = "[A-Za-z][A-Za-z0-9_]*"

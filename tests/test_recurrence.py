@@ -11,6 +11,7 @@ from ratgen.errors import (
     DegreeTooLarge,
     MissingVariable,
     NegativeOrder,
+    NonIntegerOrder,
     PowerNotOne,
 )
 from ratgen.parser import join_in_t, parse_poly, split_in_t
@@ -62,6 +63,8 @@ def test_gf_requires_unit_constant_term():
         RationalGF((one,), (c(2), -one))
     with pytest.raises(BadConstantTerm):
         RationalGF((one,), (one + x,))
+    with pytest.raises(BadConstantTerm):
+        RationalGF((one,), ())
 
 
 def test_gf_trims_trailing_zeros():
@@ -118,8 +121,9 @@ def test_raise_denominator_matches_polynomial_power():
 def test_raise_denominator_rejects_bad_input():
     with pytest.raises(BadConstantTerm):
         raise_denominator([c(2)], 2)
-    with pytest.raises(ValueError, match="nonzero"):
-        raise_denominator([one], 0)
+    for h in (0, 1.5, -0.5):
+        with pytest.raises(ValueError, match="nonzero"):
+            raise_denominator([one], h)
     with pytest.raises(ValueError, match="give an order N"):
         raise_denominator(FIB_DEN, -2)  # B^-2 has no last order
     with pytest.raises(NegativeOrder):
@@ -225,6 +229,21 @@ def test_negative_order_is_raised_once_by_the_callee():
         expand_family(RationalGF(FIB_NUM, FIB_DEN, 2), -1)
     with pytest.raises(NegativeOrder, match=message):
         identity_residual(fib_gf(), -1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: iter_family(fib_gf(), 1.5),
+    lambda: expand_family(fib_gf(), "3"),
+    lambda: iter_values(fib_gf(), {"x": 2}, 2.0),
+    lambda: geometric_inverse(FIB_DEN, 1.5),
+    lambda: multinomial_inverse(FIB_DEN, 1.5),
+    lambda: SeriesPrefix.from_polynomials(FIB_DEN, 1.5),
+    lambda: SeriesPrefix.identity(3).truncate(0.5),
+], ids=["iter_family", "expand_family", "iter_values", "geometric_inverse",
+        "multinomial_inverse", "from_polynomials", "truncate"])
+def test_a_non_integer_order_raises_a_typed_error(call):
+    with pytest.raises(NonIntegerOrder, match="^order must be an integer, got "):
+        call()
 
 
 def test_recurrence_order_is_the_feedback_length():

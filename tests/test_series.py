@@ -152,6 +152,8 @@ def test_power_oracles_reject_a_power_below_one():
     for oracle in (geometric_inverse, multinomial_inverse):
         with pytest.raises(ValueError, match="power must be a positive integer"):
             oracle([one, -x], 3, 0)
+        with pytest.raises(ValueError, match="power must be a positive integer"):
+            oracle([one, -x], 3, 1.5)
 
 
 def geometric_products(monkeypatch, B, N, h):
