@@ -17,6 +17,7 @@ from .errors import (
     NegativeOrder,
     NonIntegerExponent,
     NonIntegerOrder,
+    NonIntegerValue,
     OrderMismatch,
     ParseError,
     PowerNotOne,
@@ -56,6 +57,7 @@ __all__ = [
     "NegativeOrder",
     "NonIntegerExponent",
     "NonIntegerOrder",
+    "NonIntegerValue",
     "OrderMismatch",
     "ParseError",
     "Polynomial",

@@ -4,7 +4,9 @@ Subcommands: expand, recurrence, verify, and family {list,expand,audit}.
 Exit codes: 0 success / all checks pass, 1 verification or audit mismatch,
 2 invalid input or an internal error, 141 (128 + SIGPIPE) when the reader
 closes stdout early.  Output is deterministic: identical invocations produce
-byte-identical output.
+byte-identical output.  Each command builds its whole stdout text and hands
+it to :func:`main`, the one writer of stdout, so a command that fails with
+exit 2 leaves stdout empty.
 """
 
 from __future__ import annotations
@@ -261,31 +263,31 @@ def _zero_filled(gf: RationalGF, at: dict[str, int]) -> dict[str, int]:
     return {**dict.fromkeys(names, 0), **at}
 
 
-def _expand(args: argparse.Namespace, gf: RationalGF, query: dict[str, object]) -> int:
+# What a command hands back to main: its exit code and its stdout text, in pieces.
+Output = tuple[int, list[str]]
+
+
+def _expand(args: argparse.Namespace, gf: RationalGF, query: dict[str, object]) -> Output:
     """P_0..P_N of gf, emitted with the query echo; both expand commands end here.
 
-    Rows are written once, after the last one: a row that fails prints none."""
+    Each polynomial's text stays its own piece, never copied into a line."""
     at = _parse_at(args.at)
     terms = iter_family(gf, args.N)
     values = iter(()) if at is None else iter_values(gf, _zero_filled(gf, at), args.N)
     query = {**query, "N": args.N, "at": _at_echo(at)}
     write = {"text": _text_lines, "csv": _csv_lines, "json": _json_lines}[args.format]
-    lines = list(write(query, _rows(terms, at, values)))
-    sys.stdout.writelines(lines)
-    return 0
+    return 0, list(write(query, _rows(terms, at, values)))
 
 
-def _cmd_expand(args: argparse.Namespace) -> int:
+def _cmd_expand(args: argparse.Namespace) -> Output:
     query = {"command": "expand", "num": args.num, "den": args.den, "pow": args.pow}
     return _expand(args, _gf_from_args(args), query)
 
 
-def _cmd_recurrence(args: argparse.Namespace) -> int:
+def _cmd_recurrence(args: argparse.Namespace) -> Output:
     gf = _gf_from_args(args)
-    print(render_recurrence(gf))
-    print(f"order: {gf.power * gf.n}")  # the degree of B^h in t
-    print(f"forcing cutoff: {gf.m}")
-    return 0
+    order = gf.power * gf.n  # the degree of B^h in t
+    return 0, [render_recurrence(gf), f"\norder: {order}\nforcing cutoff: {gf.m}\n"]
 
 
 def _first_difference(a: SeriesPrefix, b: SeriesPrefix) -> int | None:
@@ -295,18 +297,18 @@ def _first_difference(a: SeriesPrefix, b: SeriesPrefix) -> int | None:
     return None
 
 
-def _report(name: str, engine: SeriesPrefix, oracle: SeriesPrefix, note: str = "") -> bool:
+def _report(
+    name: str, engine: SeriesPrefix, oracle: SeriesPrefix, note: str
+) -> tuple[bool, str]:
+    """Whether one oracle agrees with the engine, and its PASS or FAIL line."""
     k = _first_difference(engine, oracle)
     if k is None:
-        suffix = f" ({note})" if note else ""
-        print(f"PASS {name}{suffix}")
-        return True
-    print(f"FAIL {name}: first difference at k={k}: "
-          f"engine {format_poly(engine[k])} vs oracle {format_poly(oracle[k])}")
-    return False
+        return True, f"PASS {name} ({note})\n"
+    return False, (f"FAIL {name}: first difference at k={k}: "
+                   f"engine {format_poly(engine[k])} vs oracle {format_poly(oracle[k])}\n")
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> Output:
     gf = _gf_from_args(args)
     N = args.N
     selected = args.oracle
@@ -319,11 +321,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     inverse = None  # Q, built once for the convolution and residual oracles
     geometric = None  # B^-h by the geometric sum, built once for two oracles
 
-    ok = True
+    reports = []
     if selected in ("geometric", "all"):
         geometric = geometric_inverse(B, N, h)
         oracle = convolve_numerator(gf.numerator, geometric)
-        ok &= _report("geometric", engine, oracle, f"N={N}")
+        reports.append(_report("geometric", engine, oracle, f"N={N}"))
     if selected in ("multinomial", "all"):
         n_m = N
         note = f"N={N}"
@@ -338,22 +340,20 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         lhs = multinomial_inverse(B, n_m, h)
         rhs = (geometric_inverse(B, n_m, h) if geometric is None
                else geometric.truncate(n_m))
-        ok &= _report("multinomial", lhs, rhs, note)
+        reports.append(_report("multinomial", lhs, rhs, note))
     if selected in ("convolution", "all"):
         inverse = expand_inverse(reduced.denominator, N)
         oracle = convolve_numerator(gf.numerator, inverse)
-        ok &= _report("convolution", engine, oracle, f"N={N}")
+        reports.append(_report("convolution", engine, oracle, f"N={N}"))
     if selected in ("residual", "all"):
         residual = identity_residual(reduced, N, engine, inverse)
         zero = SeriesPrefix.from_polynomials((), N)
-        ok &= _report("residual", residual, zero, f"N={N}")
-    return 0 if ok else 1
+        reports.append(_report("residual", residual, zero, f"N={N}"))
+    return (0 if all(ok for ok, _ in reports) else 1), [line for _, line in reports]
 
 
-def _cmd_family_list(args: argparse.Namespace) -> int:
-    for spec in families_mod.list_families():
-        print(f"{spec.name}: {spec.summary}")
-    return 0
+def _cmd_family_list(args: argparse.Namespace) -> Output:
+    return 0, [f"{spec.name}: {spec.summary}\n" for spec in families_mod.list_families()]
 
 
 def _family_query_params(params: dict[str, object]) -> dict[str, str]:
@@ -363,7 +363,7 @@ def _family_query_params(params: dict[str, object]) -> dict[str, str]:
     }
 
 
-def _cmd_family_expand(args: argparse.Namespace) -> int:
+def _cmd_family_expand(args: argparse.Namespace) -> Output:
     params = _parse_family_params(args.param)
     parts, resolved = families_mod.build_parts(args.name, params)
     gf = parts.gf(args.mode)
@@ -376,9 +376,8 @@ def _cmd_family_expand(args: argparse.Namespace) -> int:
     return _expand(args, gf, query)
 
 
-def _cmd_family_audit(args: argparse.Namespace) -> int:
-    """The audit report, written once, after its last line: a line that
-    fails prints none."""
+def _cmd_family_audit(args: argparse.Namespace) -> Output:
+    """The audit report, one line per piece."""
     params = _parse_family_params(args.param)
     report = families_mod.audit(args.name, params, args.N)
     lines = [f"family: {report.family}"]
@@ -419,8 +418,7 @@ def _cmd_family_audit(args: argparse.Namespace) -> int:
     if not problems and not other.all_match:
         ks = ", ".join(str(k) for k in other.mismatches)
         lines.append(f"WARN: {other.mode}-mode values disagree at k={ks}")
-    sys.stdout.writelines(line + "\n" for line in lines)
-    return 1 if problems and args.mode == "printed" else 0
+    return (1 if problems and args.mode == "printed" else 0), [line + "\n" for line in lines]
 
 
 @lru_cache(maxsize=1)
@@ -442,7 +440,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _arg_parser().parse_args(_bind_expressions(argv))
     try:
-        code = args.run(args)
+        code, pieces = args.run(args)  # all of stdout, built before any is written
+        sys.stdout.writelines(pieces)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
         return code
     except BrokenPipeError:

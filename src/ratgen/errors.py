@@ -44,6 +44,10 @@ class NonIntegerExponent(RatGenError, TypeError):
     """An exponent given to a ``Polynomial`` constructor that is not an ``int``."""
 
 
+class NonIntegerValue(RatGenError, TypeError):
+    """A coefficient, or a value to evaluate at, that is not an integer."""
+
+
 class TooManyDigits(RatGenError):
     """An integer past the interpreter's limit on decimal conversion."""
 

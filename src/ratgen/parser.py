@@ -32,7 +32,7 @@ from operator import add
 from typing import Iterator, Sequence
 
 from .errors import ExponentTooLarge, NegativeExponent, ParseError, TooManyDigits
-from .poly import _NAME_RE, RESERVED_VARIABLE, Polynomial
+from .poly import _NAME_RE, RESERVED_VARIABLE, Polynomial, RawTerms, add_product_into
 
 MAX_EXPONENT = 1 << 16
 MAX_NESTING = 100  # each '(' and each unary '-' opens one level
@@ -101,12 +101,15 @@ class _Parser:
         return ParseError(f"expected {expected}, got {got}", pos)
 
     def parse_expr(self) -> Polynomial:
-        value = self.parse_term()
-        while self.kind in ("+", "-"):
-            op = self.advance()[0]
-            rhs = self.parse_term()
-            value = value + rhs if op == "+" else value - rhs
-        return value
+        # the terms are summed into one term map, so a long sum costs no
+        # copy of the partial sum per term
+        acc: RawTerms = {}
+        sign = 1
+        while True:
+            add_product_into(acc, self.parse_term(), Polynomial.constant(sign))
+            if self.kind not in ("+", "-"):
+                return Polynomial.from_raw(acc)
+            sign = 1 if self.advance()[0] == "+" else -1
 
     def parse_term(self) -> Polynomial:
         value = self.parse_factor()

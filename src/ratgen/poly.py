@@ -24,15 +24,16 @@ is checked once, when it is first interned: one that does not match
 monomial is as wide as the field of its latest-interned variable, so the
 cap also bounds its size.  Reading monomials back goes through one struct
 format per variable set, so the cost per term stays in C however many names
-the table holds.  Every ordered read (formatting, ``sorted_terms``,
-``items``) goes through :meth:`Polynomial.graded_columns`, one sort of the
-terms that returns one exponent column per variable.  Evaluation reads the
-same fields and keeps one running power of its first variable's value.
+the table holds.  Every ordered read (formatting, evaluation, ``items``) goes
+through :meth:`Polynomial.graded_columns`, one sort of the terms that returns
+one exponent column per variable.  Every merge of term maps (sums, products,
+:meth:`Polynomial.join`) goes through :func:`add_product_into`.
 
 The zero polynomial is the empty map.  Normalization (no zero coefficients)
 is an invariant of every constructed value and packing is canonical, so
 structural equality is polynomial equality.  Coefficients are plain Python
-integers and never overflow.
+integers and never overflow; the public constructors read each one with
+``operator.index`` and raise :class:`NonIntegerValue` for anything else.
 
 The series variable ``t`` is reserved: :meth:`Polynomial.variable` rejects it,
 keeping coefficient polynomials t-free.  The expression parser builds
@@ -46,8 +47,9 @@ import re
 import struct
 import threading
 from functools import lru_cache, reduce
-from itertools import accumulate, chain, compress, repeat
-from operator import add, itemgetter, mul, or_, sub
+from itertools import compress, repeat
+from math import prod
+from operator import index, itemgetter, or_
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -55,6 +57,7 @@ from .errors import (
     InvalidVariable,
     MissingVariable,
     NonIntegerExponent,
+    NonIntegerValue,
     TooManyVariables,
 )
 
@@ -101,11 +104,24 @@ def validate_variable_name(name: str) -> str:
     return name
 
 
+def _integer(value: object, what: str) -> int:
+    """``value`` as an int, read by ``operator.index``: NonIntegerValue otherwise."""
+    try:
+        return index(value)
+    except TypeError:
+        raise NonIntegerValue(f"{what} must be an integer, got {value!r}") from None
+
+
 def require_values(names: Iterable[str], assignment: Mapping[str, int]) -> None:
-    """Raise MissingVariable naming every one of ``names`` that ``assignment`` lacks."""
-    missing = set(names) - assignment.keys()
+    """Raise MissingVariable naming every one of ``names`` that ``assignment``
+    lacks, and NonIntegerValue if its value for one of them is not an integer."""
+    names = set(names)
+    missing = names - assignment.keys()
     if missing:
         raise MissingVariable("no value assigned for: " + ", ".join(sorted(missing)))
+    for name in sorted(names):
+        if not isinstance(assignment[name], int):  # an int needs no reading
+            _integer(assignment[name], f"the value of {name!r}")
 
 
 def check_degree(degree: int) -> None:
@@ -183,9 +199,6 @@ def _layout(
     return names, read
 
 
-_EXPONENTS = itemgetter(slice(1, None))  # a read monomial without its degree
-
-
 class Polynomial:
     """An immutable element of the integer polynomial ring."""
 
@@ -198,7 +211,7 @@ class Polynomial:
         if terms:
             for mono, coeff in terms.items():
                 key = _pack(mono)
-                packed[key] = packed.get(key, 0) + coeff
+                packed[key] = packed.get(key, 0) + _integer(coeff, "a coefficient")
         object.__setattr__(self, "_terms", {m: c for m, c in packed.items() if c})
         object.__setattr__(self, "_vars", None)
 
@@ -225,9 +238,8 @@ class Polynomial:
 
     @classmethod
     def constant(cls, value: int) -> Polynomial:
-        if value == 0:
-            return _ZERO
-        return cls._raw({0: int(value)})
+        value = _integer(value, "a coefficient")
+        return cls._raw({0: value}) if value else _ZERO
 
     @classmethod
     def variable(cls, name: str) -> Polynomial:
@@ -242,11 +254,12 @@ class Polynomial:
     @classmethod
     def term(cls, coeff: int, exponents: Mapping[str, int]) -> Polynomial:
         """A single term ``coeff * prod(var^e)``; exponents must be >= 0."""
-        if coeff == 0:
+        coeff = _integer(coeff, "a coefficient")
+        if not coeff:
             return _ZERO
         for var in exponents:
             validate_variable_name(var)
-        return cls._raw({_pack(tuple(exponents.items())): int(coeff)})
+        return cls._raw({_pack(tuple(exponents.items())): coeff})
 
     @classmethod
     def from_raw(cls, terms: RawTerms) -> Polynomial:
@@ -281,9 +294,7 @@ class Polynomial:
         ))
         out: RawTerms = {}
         for j, p in enumerate(seq):
-            step = j * unit
-            for m, c in p._terms.items():
-                out[m + step] = out.get(m + step, 0) + c
+            add_product_into(out, p, cls._raw({j * unit: 1}))
         return cls.from_raw(out)
 
     # -- queries -----------------------------------------------------------
@@ -332,17 +343,12 @@ class Polynomial:
         return self._terms.get(_pack(mono), 0)
 
     def items(self) -> Iterator[tuple[Monomial, int]]:
-        """The terms, in the order of :meth:`sorted_terms`."""
-        return iter(self.sorted_terms())
-
-    def sorted_terms(self) -> list[tuple[Monomial, int]]:
-        """Terms in descending graded-lex order, variables alphabetical."""
+        """(monomial, coefficient) pairs in descending graded-lex order,
+        variables alphabetical."""
         names, coeffs, columns = self.graded_columns()
         rows = zip(*columns) if columns else repeat((), len(coeffs))
-        return [
-            (tuple(compress(zip(names, exps), exps)), c)
-            for exps, c in zip(rows, coeffs)
-        ]
+        return ((tuple(compress(zip(names, exps), exps)), c)
+                for exps, c in zip(rows, coeffs))
 
     def graded_columns(
         self,
@@ -402,18 +408,9 @@ class Polynomial:
     def __add__(self, other: Polynomial) -> Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
-        if not self._terms:
-            return other
-        if not other._terms:
-            return self
         out = dict(self._terms)
-        for mono, coeff in other._terms.items():
-            new = out.get(mono, 0) + coeff
-            if new:
-                out[mono] = new
-            else:
-                out.pop(mono, None)
-        return Polynomial._raw(out)
+        add_product_into(out, _ONE, other)
+        return Polynomial.from_raw(out)
 
     def __neg__(self) -> Polynomial:
         return self.scale(-1)
@@ -466,27 +463,15 @@ class Polynomial:
         return Polynomial._raw(out)
 
     def evaluate(self, assignment: Mapping[str, int]) -> int:
-        """Exact integer value under a total assignment of the variables."""
-        variables = self.variables()
-        require_values(variables, assignment)
-        if not variables:
-            return sum(self._terms.values())
-        names, read = _layout(variables)
-        # rows (exponents in alphabetical order of the names, coefficient),
-        # ascending in the first name's exponent
-        exponents = map(_EXPONENTS, read(self._terms))
-        rows = sorted(map(add, exponents, zip(self._terms.values())))
-        *columns, coeffs = zip(*rows)
-        # the first exponent only grows along the rows, so one running power of
-        # its value serves every row; the other values are raised row by row.
-        # The maps are lazy: one running power and one term are alive at a time.
-        first = columns[0]
-        steps = map(sub, first, chain((0,), first))
-        powers = accumulate(map(pow, repeat(assignment[names[0]]), steps), mul)
-        terms = map(mul, coeffs, powers)
-        for name, column in zip(names[1:], columns[1:]):
-            terms = map(mul, terms, map(pow, repeat(assignment[name]), column))
-        return sum(terms)
+        """Exact integer value under a total assignment of the variables.
+
+        The terms are read through :meth:`graded_columns` and summed lazily,
+        one term c * prod(v^e) alive at a time."""
+        require_values(self.variables(), assignment)
+        names, coeffs, columns = self.graded_columns()
+        powers = [map(pow, repeat(assignment[name]), column)
+                  for name, column in zip(names, columns)]
+        return sum(map(prod, zip(coeffs, *powers)))
 
     def __repr__(self) -> str:
         from .parser import format_poly

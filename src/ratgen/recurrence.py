@@ -157,19 +157,13 @@ class Recurrence:
 def raise_denominator(
     B: Sequence[Polynomial], h: int, N: int | None = None
 ) -> tuple[Polynomial, ...]:
-    """D_0..D_top of B^h, with D_0 = 1, for any nonzero integer h.
-
-    top is min(N, h*n) for h > 0, where N = None gives all h*n orders, and N
-    for h < 0, whose power series has no last order and so needs N.
-    """
+    """D_0..D_min(N, h*n) of B^h, with D_0 = 1, for an integer h >= 1;
+    N = None gives all h*n orders."""
     B = check_denominator(B)
-    if not isinstance(h, int) or h == 0:
-        raise ValueError(f"power must be a nonzero integer, got {h}")
-    if h < 0 and N is None:
-        raise ValueError(f"power {h} is a power series; give an order N")
-    n = len(B) - 1
-    N = h * n if N is None else check_order(N)
-    top = N if h < 0 else min(N, h * n)
+    check_power(h)
+    top = h * (len(B) - 1)
+    if N is not None:
+        top = min(check_order(N), top)
     check_growth((), B[1:], top)
     return tuple(_iter_power(B, h, top))
 
@@ -229,8 +223,8 @@ def iter_values(gf: RationalGF, point: Mapping[str, int], N: int) -> Iterator[in
     Each A_j and B_j is evaluated once, when order j is first reached, so a
     consumer that stops at order k never evaluates the coefficients past it.
     The stream shares no kernel with the engine, so it also checks it.  A
-    negative N or a variable of A or B that ``point`` lacks raises at the
-    call, before the first value.
+    negative N, or a variable of A or B that ``point`` lacks or gives a
+    non-integer value, raises at the call, before the first value.
     """
     N = check_order(N)
     A, B, h = gf.numerator, gf.denominator, gf.power

@@ -99,6 +99,23 @@ def reference_product(p: Polynomial, q: Polynomial) -> dict[Monomial, int]:
     return out
 
 
+def reference_sum(
+    parts: Sequence[tuple[int, Polynomial, Mapping[str, int]]]
+) -> dict[Monomial, int]:
+    """sum of c * p * prod(name^e for name, e in shift) over the parts
+    (c, p, shift), by a plain dict sum over the terms of each p, as a map from
+    monomials to nonzero coefficients; shares no code with ratgen's kernel."""
+    out: dict[Monomial, int] = {}
+    for c, p, shift in parts:
+        for mono, coeff in p.items():
+            exponents = dict(mono)
+            for name, e in shift.items():
+                exponents[name] = exponents.get(name, 0) + e
+            key = tuple(sorted((name, e) for name, e in exponents.items() if e))
+            out[key] = out.get(key, 0) + c * coeff
+    return {mono: coeff for mono, coeff in out.items() if coeff}
+
+
 # -- hypothesis strategies ----------------------------------------------------
 
 def monomials(

@@ -17,6 +17,7 @@ from jsonschema import validate
 
 from ratgen import cli, recurrence, series
 from ratgen.cli import main
+from ratgen.errors import RatGenError
 from ratgen.parser import format_poly, parse_poly, split_in_t
 from ratgen.poly import MAX_VARIABLES, Polynomial
 from ratgen.recurrence import RationalGF, expand_family
@@ -492,6 +493,18 @@ def test_family_audit_that_fails_midway_prints_no_report(capsys):
     code, out, err = run(capsys, argv)
     assert (code, out) == (2, "")
     assert err == "error: a coefficient has more than 4300 decimal digits\n"
+
+
+def test_verify_that_fails_at_its_last_oracle_prints_no_report(capsys, monkeypatch):
+    # the geometric, multinomial and convolution oracles pass before the
+    # residual one fails: their PASS lines are built, never written
+    def fail(*args):
+        raise RatGenError("the residual failed")
+
+    monkeypatch.setattr(cli, "identity_residual", fail)
+    code, out, err = run(capsys, ["verify", "--num", "t", "--den", "1-x*t-t^2",
+                                  "-N", "6", "--oracle", "all"])
+    assert (code, out, err) == (2, "", "error: the residual failed\n")
 
 
 def test_bad_flags_exit_2():

@@ -97,3 +97,26 @@ def test_the_name_pattern_is_spelled_once_in_poly():
     pattern = "[A-Za-z][A-Za-z0-9_]*"
     spelled = {path.name: path.read_text().count(pattern) for path in sorted(SRC.glob("*.py"))}
     assert {name: count for name, count in spelled.items() if count} == {"poly.py": 1}
+
+
+def writes_stdout(node: ast.AST) -> bool:
+    """Whether node names sys.stdout or is a print call not sent to sys.stderr."""
+    if isinstance(node, ast.Attribute):
+        return ast.unparse(node) == "sys.stdout"
+    if isinstance(node, ast.Call) and ast.unparse(node.func) == "print":
+        return not any(kw.arg == "file" and ast.unparse(kw.value) == "sys.stderr"
+                       for kw in node.keywords)
+    return False
+
+
+def test_only_main_writes_stdout():
+    # each command returns its stdout text, and main writes it once, after
+    # the command has built all of it: a command that fails leaves stdout empty
+    tree = ast.parse((SRC / "cli.py").read_text())
+    writers = {
+        top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+        for top in tree.body
+        for node in ast.walk(top)
+        if writes_stdout(node)
+    }
+    assert writers == {"main"}

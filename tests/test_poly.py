@@ -7,20 +7,23 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 
-from helpers import polynomials, random_poly, reference_product
+from helpers import polynomials, random_poly, reference_product, reference_sum
 from ratgen import poly
 from ratgen.errors import (
     DegreeTooLarge,
     InvalidVariable,
     MissingVariable,
     NonIntegerExponent,
+    NonIntegerValue,
     RatGenError,
 )
+from ratgen.parser import format_poly, join_in_t, split_in_t
 from ratgen.poly import (
     MAX_DEGREE,
     MAX_VARIABLES,
@@ -101,6 +104,12 @@ def test_eval_missing_variable():
 
 def test_eval_ignores_extra_assignments():
     assert (x + one).evaluate({"x": 1, "y": 99}) == 2
+
+
+def test_eval_refuses_a_non_integer_value():
+    with pytest.raises(NonIntegerValue, match="^the value of 'x' must be an integer"):
+        (x + one).evaluate({"x": 0.5})
+    assert (x + one).evaluate({"x": 2, "y": 0.5}) == 3  # y is not needed
 
 
 def test_eval_matches_the_term_by_term_sum():
@@ -234,7 +243,7 @@ def test_equality_with_ints():
 
 def test_sorted_terms_graded_lex():
     p = one + x**2 + x * y + y**2 + x
-    monos = [m for m, _ in p.sorted_terms()]
+    monos = [m for m, _ in p.items()]
     assert monos == [
         (("x", 2),),
         (("x", 1), ("y", 1)),
@@ -300,6 +309,22 @@ def test_non_integer_exponents_raise_a_typed_error(build):
     assert poly._NAMES == before
 
 
+@pytest.mark.parametrize("value", [0.5, 0.1, "7", Fraction(1, 2)],
+                         ids=["half", "tenth", "text", "fraction"])
+@pytest.mark.parametrize("build", [
+    Polynomial.constant,
+    lambda value: Polynomial.term(value, {"x": 1}),
+    lambda value: Polynomial({(("x", 1),): value}),
+], ids=["constant", "term", "constructor"])
+def test_non_integer_coefficients_raise_a_typed_error(build, value):
+    # int() would store 0.5 and 1/2 as the coefficient 0 and "7" as 7, and
+    # 0.1 taken as it comes would print "0.1*x", which parse_poly refuses
+    with pytest.raises(NonIntegerValue, match="must be an integer") as caught:
+        build(value)
+    assert isinstance(caught.value, RatGenError) and isinstance(caught.value, TypeError)
+    assert format_poly(build(7)) in ("7", "7*x")
+
+
 def test_degree_bound_is_exact():
     top = x**MAX_DEGREE
     assert top.total_degree() == MAX_DEGREE
@@ -331,8 +356,8 @@ print(json.dumps({
     "format": format_poly(p),
     "equal": p == q and hash(p) == hash(q) and len({p, q}) == 1,
     "value": p.evaluate({"a": 2, "b": -3, "w": 5, "x": 7, "y": -1, "z": 4, "zz": 11}),
-    "sorted": [list(map(list, m)) for m, _ in r.sorted_terms()],
-    "sorted_abz": [list(map(list, m)) for m, _ in parse_poly("zz*a + b^2 + a^2").sorted_terms()],
+    "sorted": [list(map(list, m)) for m, _ in r.items()],
+    "sorted_abz": [list(map(list, m)) for m, _ in parse_poly("zz*a + b^2 + a^2").items()],
 }))
 """
 
@@ -476,6 +501,43 @@ def test_add_product_into_cancels_to_zero_and_from_raw_drops_the_zeros(n):
         add_product_into(acc, -m, q - Polynomial.term(1, {"x": 20}))
         assert Polynomial.from_raw(acc) == m * Polynomial.term(1, {"x": 20})
         assert len(Polynomial.from_raw(acc)) == 1
+
+
+def with_unit_coefficients(rng: random.Random, p: Polynomial) -> Polynomial:
+    """p's monomials, each with a coefficient of 1 or -1."""
+    return Polynomial({mono: rng.choice((-1, 1)) for mono, _ in p.items()})
+
+
+def test_sums_and_differences_match_a_plain_dict_sum():
+    # + merges through add_product_into with 1 as the one-term side: a right
+    # side of 8 or more terms is copied into an empty map (a zero left side)
+    # or added into a filled one.  With coefficients of +-1 the sums cancel
+    # often, and every zero they leave must be dropped.
+    rng = random.Random(2020)
+    for trial in range(300):
+        p, q = (poly_of_length(rng, rng.randint(0, 20)) for _ in range(2))
+        if trial % 2:
+            p, q = with_unit_coefficients(rng, p), with_unit_coefficients(rng, q)
+        for left, right in ((p, q), (q, p), (zero, q), (q, zero)):
+            assert left + right == Polynomial(reference_sum([(1, left, {}), (1, right, {})]))
+            assert left - right == Polynomial(reference_sum([(1, left, {}), (-1, right, {})]))
+        assert p - p == zero and len(p - p) == 0
+
+
+def test_join_in_t_matches_a_plain_dict_sum_and_splits_back():
+    # join adds each coefficient times t^j through add_product_into: a long
+    # coefficient lands in an empty map by a copy (j = 0) or a comprehension,
+    # and in a filled one with no multiply
+    rng = random.Random(2021)
+    for trial in range(100):
+        seq = [poly_of_length(rng, rng.randint(0, 20)) for _ in range(rng.randint(0, 11))]
+        seq.append(poly_of_length(rng, rng.randint(1, 20)))  # the last order is nonzero
+        if trial % 2:
+            seq = [with_unit_coefficients(rng, p) for p in seq]
+        joined = join_in_t(seq)
+        expected = reference_sum([(1, p, {"t": j}) for j, p in enumerate(seq)])
+        assert joined == Polynomial(expected)
+        assert split_in_t(joined) == tuple(seq)
 
 
 def test_mentions_reads_the_terms_with_or_without_the_variable_set():

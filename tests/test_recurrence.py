@@ -12,6 +12,7 @@ from ratgen.errors import (
     MissingVariable,
     NegativeOrder,
     NonIntegerOrder,
+    NonIntegerValue,
     PowerNotOne,
 )
 from ratgen.parser import join_in_t, parse_poly, split_in_t
@@ -121,28 +122,28 @@ def test_raise_denominator_matches_polynomial_power():
 def test_raise_denominator_rejects_bad_input():
     with pytest.raises(BadConstantTerm):
         raise_denominator([c(2)], 2)
-    for h in (0, 1.5, -0.5):
-        with pytest.raises(ValueError, match="nonzero"):
+    for h in (0, 1.5, -0.5, -2):
+        with pytest.raises(ValueError, match="power must be a positive integer"):
             raise_denominator([one], h)
-    with pytest.raises(ValueError, match="give an order N"):
-        raise_denominator(FIB_DEN, -2)  # B^-2 has no last order
     with pytest.raises(NegativeOrder):
-        raise_denominator(FIB_DEN, -2, -1)
+        raise_denominator(FIB_DEN, 2, -1)
 
 
 def test_negative_power_inverts_the_positive_one():
-    # the same Miller loop with exponent -h: B^-h * B^h = 1 mod t^(N+1)
+    # expand_family runs the Miller loop with exponent -h for h > 1, and
+    # raise_denominator runs it with h: B^-h * B^h = 1 mod t^(N+1)
     rng = random.Random(20261018)
     for _ in range(30):
         n = rng.randint(0, 3)
         h = rng.randint(1, 6)
         N = rng.randint(0, 20)
         B = [one] + [random_poly(rng, ("x", "y"), max_degree=1) for _ in range(n)]
-        inverse = raise_denominator(B, -h, N)
+        inverse = expand_family(RationalGF((one,), B, h), N)
         assert len(inverse) == N + 1
         power = SeriesPrefix.from_polynomials(raise_denominator(B, h, N), N)
-        assert cauchy_mul(SeriesPrefix(inverse), power) == SeriesPrefix.identity(N)
-    assert raise_denominator([one, -one], -2, 4) == tuple(map(c, (1, 2, 3, 4, 5)))
+        assert cauchy_mul(inverse, power) == SeriesPrefix.identity(N)
+    inverse_square = expand_family(RationalGF((one,), (one, -one), 2), 4)
+    assert inverse_square.coeffs == tuple(map(c, (1, 2, 3, 4, 5)))
 
 
 def test_truncated_power_leaves_expansion_unchanged():
@@ -457,6 +458,15 @@ def test_iter_values_raises_at_the_call():
         iter_values(gf, {"x": 1, "z": 1}, 3)
     # 2/(1 - 2t)^3: 2 * C(k+2, 2) * 2^k
     assert list(iter_values(gf, {"x": 2, "y": 0, "z": 1}, 3)) == [2, 12, 48, 160]
+
+
+def test_iter_values_refuses_a_non_integer_point_at_the_call():
+    # a float would make the value stream inexact (0.1, 1.01, ..) or, at
+    # h = 3, fail the exact division by k with a bare ArithmeticError
+    for gf in (fib_gf(), RationalGF((one,), (one, -x), 3)):
+        with pytest.raises(NonIntegerValue, match="^the value of 'x' must be an integer"):
+            iter_values(gf, {"x": 0.1}, 5)
+    assert list(iter_values(fib_gf(), {"x": 1, "y": 0.5}, 5)) == [0, 1, 1, 2, 3, 5]
 
 
 def test_iter_values_runs_no_engine_kernel(monkeypatch):
