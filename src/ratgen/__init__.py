@@ -9,7 +9,9 @@ expansion against independent brute-force series constructions.
 from .errors import (
     BadConstantTerm,
     BadParameter,
+    BadPower,
     DegreeTooLarge,
+    EmptySeries,
     ExponentTooLarge,
     InvalidVariable,
     MissingVariable,
@@ -18,6 +20,8 @@ from .errors import (
     NonIntegerExponent,
     NonIntegerOrder,
     NonIntegerValue,
+    NotAPolynomial,
+    NotAnExpression,
     OrderMismatch,
     ParseError,
     PowerNotOne,
@@ -49,7 +53,9 @@ __version__ = "0.1.0"
 __all__ = [
     "BadConstantTerm",
     "BadParameter",
+    "BadPower",
     "DegreeTooLarge",
+    "EmptySeries",
     "ExponentTooLarge",
     "InvalidVariable",
     "MissingVariable",
@@ -58,6 +64,8 @@ __all__ = [
     "NonIntegerExponent",
     "NonIntegerOrder",
     "NonIntegerValue",
+    "NotAPolynomial",
+    "NotAnExpression",
     "OrderMismatch",
     "ParseError",
     "Polynomial",

@@ -316,7 +316,6 @@ def _cmd_verify(args: argparse.Namespace) -> Output:
     # oracles build B^-h from B and h, and the convolution and residual ones
     # read D = B^h, folded once and only to order N
     B, h = gf.denominator, gf.power
-    reduced = RationalGF(gf.numerator, gf.reduced_denominator(N))
     engine = expand_family(gf, N)
     inverse = None  # Q, built once for the convolution and residual oracles
     geometric = None  # B^-h by the geometric sum, built once for two oracles
@@ -340,7 +339,15 @@ def _cmd_verify(args: argparse.Namespace) -> Output:
         lhs = multinomial_inverse(B, n_m, h)
         rhs = (geometric_inverse(B, n_m, h) if geometric is None
                else geometric.truncate(n_m))
-        reports.append(_report("multinomial", lhs, rhs, note))
+        # the engine against A * B^-h, then the two oracles against each
+        # other: the line fails if either differs
+        report = _report("multinomial", engine.truncate(n_m),
+                         convolve_numerator(gf.numerator, lhs), note)
+        if report[0]:
+            report = _report("multinomial", lhs, rhs, note)
+        reports.append(report)
+    if selected in ("convolution", "residual", "all"):
+        reduced = RationalGF(gf.numerator, gf.reduced_denominator(N))
     if selected in ("convolution", "all"):
         inverse = expand_inverse(reduced.denominator, N)
         oracle = convolve_numerator(gf.numerator, inverse)

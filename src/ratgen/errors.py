@@ -12,8 +12,9 @@ class RatGenError(Exception):
     """Base class for all errors raised by ratgen."""
 
 
-class InvalidVariable(RatGenError):
-    """Variable name is malformed or uses the reserved series variable."""
+class InvalidVariable(RatGenError, ValueError):
+    """Variable name is malformed, or the reserved series variable is used
+    where only coefficient variables belong."""
 
 
 class MissingVariable(RatGenError):
@@ -32,8 +33,17 @@ class NegativeOrder(RatGenError):
     """A negative truncation order was requested."""
 
 
+class EmptySeries(RatGenError, ValueError):
+    """A series given with no coefficients, not even the one of order 0."""
+
+
 class NonIntegerOrder(RatGenError, TypeError):
     """A truncation order that is not an integer."""
+
+
+class BadPower(RatGenError, ValueError):
+    """A power h of B^h that is not a positive integer, or a negative ``**``
+    exponent."""
 
 
 class PowerNotOne(RatGenError):
@@ -46,6 +56,14 @@ class NonIntegerExponent(RatGenError, TypeError):
 
 class NonIntegerValue(RatGenError, TypeError):
     """A coefficient, or a value to evaluate at, that is not an integer."""
+
+
+class NotAPolynomial(RatGenError, AttributeError):
+    """A series coefficient that is not a ``Polynomial``."""
+
+
+class NotAnExpression(RatGenError, TypeError):
+    """Expression text that is not a ``str``."""
 
 
 class TooManyDigits(RatGenError):

@@ -31,7 +31,8 @@ from itertools import repeat
 from operator import add
 from typing import Iterator, Sequence
 
-from .errors import ExponentTooLarge, NegativeExponent, ParseError, TooManyDigits
+from .errors import (ExponentTooLarge, NegativeExponent, NotAnExpression, ParseError,
+                     TooManyDigits)
 from .poly import _NAME_RE, RESERVED_VARIABLE, Polynomial, RawTerms, add_product_into
 
 MAX_EXPONENT = 1 << 16
@@ -160,6 +161,8 @@ class _Parser:
 
 def parse_poly(src: str) -> Polynomial:
     """Parse an expression over the coefficient variables and t."""
+    if not isinstance(src, str):
+        raise NotAnExpression(f"expression must be a str, got {src!r}")
     parser = _Parser(_tokenize(src))
     value = parser.parse_expr()
     if parser.kind != "end":

@@ -29,6 +29,15 @@ through :meth:`Polynomial.graded_columns`, one sort of the terms that returns
 one exponent column per variable.  Every merge of term maps (sums, products,
 :meth:`Polynomial.join`) goes through :func:`add_product_into`.
 
+The module holds the one power loop, :func:`_miller_power`: J.C.P. Miller's
+recurrence over the nonzero graded parts of a base whose lowest part is one
+term c*m, so each order divides exactly by an integer and by m, and
+dividing packed monomials by m subtracts keys.  It forms only the orders a
+nonzero order reaches, so its work does not grow with the gaps between the
+weights.  ``**`` runs it over the base graded by total degree, refined name
+by name until one term is lowest; the engine in :mod:`ratgen.recurrence`
+runs it over the t-grading of a denominator for B^h and B^-h.
+
 The zero polynomial is the empty map.  Normalization (no zero coefficients)
 is an invariant of every constructed value and packing is canonical, so
 structural equality is polynomial equality.  Coefficients are plain Python
@@ -47,12 +56,14 @@ import re
 import struct
 import threading
 from functools import lru_cache, reduce
+from heapq import heappop, heappush
 from itertools import compress, repeat
 from math import prod
 from operator import index, itemgetter, or_
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
+    BadPower,
     DegreeTooLarge,
     InvalidVariable,
     MissingVariable,
@@ -431,36 +442,49 @@ class Polynomial:
         return Polynomial.from_raw(out)
 
     def __pow__(self, exponent: int) -> Polynomial:
+        """self^exponent by Miller's recurrence over a grading of self.
+
+        The grading is the total degree; where terms tie for the lowest
+        degree, the weight K*w - e_v for one name v after another, with K
+        the largest degree plus 1, refines it until exactly one term is
+        lowest.  The kernel reads the parts by their weights' offsets from
+        that term, and only the nonzero ones."""
         if not isinstance(exponent, int):
             return NotImplemented
         if exponent < 0:
-            raise ValueError("polynomial exponent must be nonnegative")
-        result = _ONE
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+            raise BadPower(f"polynomial exponent must be nonnegative, got {exponent}")
+        terms = self._terms
+        if not terms:
+            return _ZERO if exponent else _ONE
+        weights = list(map(_MASK.__and__, terms))  # in the order of terms
+        low, K, shift = min(weights), max(weights) + 1, _WIDTH
+        check_degree((K - 1) * exponent)
+        tied = list(compress(terms, map(low.__eq__, weights)))
+        while len(tied) > 1:  # the name at shift splits the tie if its exponents differ
+            column = [m >> shift & _MASK for m in tied]
+            top = max(column)
+            if top != min(column):
+                weights = [K * w - (m >> shift & _MASK) for m, w in zip(terms, weights)]
+                tied = [m for m, e in zip(tied, column) if e == top]
+            shift += _WIDTH
+        low = min(weights)
+        parts: dict[int, RawTerms] = {}
+        for (m, c), w in zip(terms.items(), weights):
+            parts.setdefault(w - low, {})[m] = c
+        *orders, out = [d._terms for _, d in _miller_power(
+            {j: Polynomial._raw(p) for j, p in parts.items()}, exponent, exponent * max(parts))]
+        # the orders have distinct weights, so their terms are disjoint and
+        # collecting them adds no coefficient; the last, often the largest,
+        # collects the others
+        for d in orders:
+            out.update(d)
+        return Polynomial._raw(out)
 
     def scale(self, factor: int) -> Polynomial:
         """factor * self for an integer factor."""
         if not factor or not self._terms:
             return _ZERO
         return Polynomial._raw({m: factor * c for m, c in self._terms.items()})
-
-    def exact_div(self, divisor: int) -> Polynomial:
-        """self / divisor; ArithmeticError if a coefficient leaves a remainder."""
-        out: RawTerms = {}
-        for m, c in self._terms.items():
-            q, r = divmod(c, divisor)
-            if r:
-                raise ArithmeticError(f"coefficient {c} is not divisible by {divisor}")
-            out[m] = q
-        return Polynomial._raw(out)
 
     def evaluate(self, assignment: Mapping[str, int]) -> int:
         """Exact integer value under a total assignment of the variables.
@@ -529,3 +553,57 @@ def add_product_into(acc: RawTerms, p: Polynomial, q: Polynomial) -> None:
         for m2, c2 in qt.items():
             m = m1 + m2
             acc[m] = get(m, 0) + c1 * c2
+
+
+def _miller_power(
+    parts: Mapping[int, Polynomial], e: int, top: int
+) -> Iterator[tuple[int, Polynomial]]:
+    """Yield (k, D_k) for each nonzero D_k, k <= top, of
+    (sum_j parts[j] * s^j)^e, in increasing k.
+
+    J.C.P. Miller's power recurrence (Knuth, TAOCP vol. 2, section 4.7):
+    with p_0 = parts[0] one term c*m,
+
+        c*m*k*D_k = sum_{j > 0} ((e+1)*j - k) * p_j * D_{k-j}
+
+    holds for every exponent.  ``parts`` maps a weight j to its part and
+    holds no zero part.  Each nonzero D_i, once known, is added into the
+    sum of every order i + j, one product per part, and the lowest order
+    waiting on a heap comes next: its sum is complete and divides exactly
+    by k*c, and by m once for all, as each part's packed keys less m's.
+    An order no nonzero order reaches is never formed, so the work is
+    bounded by the parts times the nonzero orders, however far apart the
+    weights lie.  With one part p_j beside p_0, D_{k-j} * ((e+1)*j - k)
+    / (k*c) is binom(e, i) * c^(e-i) * m^(e-i+1) * p_j^(i-1) for i = k/j,
+    already integral, so that smaller side is divided instead of the sum.
+    D_0 = (c*m)^e, so a negative e needs p_0 = 1.  The caller checks the
+    degree bound.
+    """
+    [(m, c)] = parts[0]._terms.items()  # ValueError unless p_0 is one term
+    if e < 0 and (m, c) != (0, 1):
+        raise ValueError("a negative power needs p_0 = 1")
+    steps = [(j, Polynomial._raw({x - m: v for x, v in p._terms.items()}))
+             for j, p in parts.items() if j]
+    single = len(steps) == 1
+    sums: dict[int, RawTerms] = {}  # the orders some nonzero order reaches
+    heap: list[int] = []  # the keys of sums
+    k, d = 0, parts[0] if e < 0 else Polynomial._raw({m * e: c**e})
+    while True:
+        if d:
+            yield k, d
+            for j, q in steps:
+                if (i := k + j) <= top:
+                    if i not in sums:
+                        heappush(heap, i)
+                    f = e * j - k  # (e+1)*j - i
+                    if single:  # d*f/(i*c) is integral: divide this side, not the sum
+                        add_product_into(sums.setdefault(i, {}), q, Polynomial._raw(
+                            {x: v * f // (i * c) for x, v in d._terms.items()}))
+                    else:
+                        add_product_into(sums.setdefault(i, {}), q.scale(f), d)
+        if not heap:
+            return
+        k = heappop(heap)
+        acc, kc = sums.pop(k), k * c
+        d = (Polynomial.from_raw(acc) if single
+             else Polynomial._raw({x: v // kc for x, v in acc.items() if v}))

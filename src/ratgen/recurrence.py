@@ -11,7 +11,9 @@ Miller's power recurrence and only up to the order a reader needs, and
 renders it with initial values taken from the expansion.  The expansion runs
 the recursion for h = 1.  For h > 1 it never builds D: it streams G = B^-h
 by Miller's recurrence from B itself, which costs n small products per order
-instead of up to h*n large ones, and convolves A with it.  Substituting
+instead of up to h*n large ones, and convolves A with it.  Both run
+:mod:`ratgen.poly`'s Miller kernel, the one power loop, over the t-grading
+of B; this module calls it ``_iter_power``.  Substituting
 integers for the variables is a ring homomorphism that keeps B_0 = 1, so the
 same recursions, run on the plain integers a = A(point) and b = B(point),
 yield the values P_0(point)..P_N(point) without building any P_k.  The
@@ -29,8 +31,8 @@ from itertools import chain, repeat
 from operator import mul
 from typing import Iterator, Mapping, Sequence
 
-from .errors import PowerNotOne
-from .poly import Polynomial, RawTerms, add_product_into, require_values
+from .errors import EmptySeries, PowerNotOne
+from .poly import Polynomial, RawTerms, _miller_power, add_product_into, require_values
 from .series import (
     SeriesPrefix,
     check_convolution_degree,
@@ -45,6 +47,18 @@ from .series import (
 )
 
 _ZERO = Polynomial.zero()
+
+
+def _iter_power(B: Sequence[Polynomial], h: int, top: int) -> Iterator[Polynomial]:
+    """Yield D_0..D_top of B^h (B trimmed, B_0 = 1, h != 0): poly's Miller
+    kernel over the t-grading of B, with the zero orders it skips put back.
+    The engine calls it by this name, and the tests patch it."""
+    k = 0
+    for j, d in _miller_power({j: b for j, b in enumerate(B) if b}, h, top):
+        yield from repeat(_ZERO, j - k)
+        yield d
+        k = j + 1
+    yield from repeat(_ZERO, top + 1 - k)
 
 
 @dataclass(frozen=True)
@@ -65,7 +79,7 @@ class RationalGF:
     def __post_init__(self) -> None:
         num = tuple(self.numerator)
         if not num:
-            raise ValueError("numerator must have at least one coefficient")
+            raise EmptySeries("numerator must have at least one coefficient")
         check_t_free(num, "numerator")
         object.__setattr__(self, "numerator", trimmed(num))
         object.__setattr__(self, "denominator", check_denominator(self.denominator))
@@ -166,29 +180,6 @@ def raise_denominator(
         top = min(check_order(N), top)
     check_growth((), B[1:], top)
     return tuple(_iter_power(B, h, top))
-
-
-def _iter_power(B: tuple[Polynomial, ...], h: int, top: int) -> Iterator[Polynomial]:
-    """Yield D_0..D_top of B^h (B trimmed, B_0 = 1, h != 0), holding n of them.
-
-    J.C.P. Miller's power recurrence (Knuth, TAOCP vol. 2, section 4.7):
-
-        k*D_k = sum_{j=1..min(n,k)} ((h+1)*j - k) * B_j * D_{k-j}
-
-    holds for every exponent, so each order costs at most n small-by-large
-    products and one division by k, which is exact because B_0 = 1.  The
-    caller checks the degree bound.
-    """
-    window: deque[Polynomial] = deque(maxlen=len(B) - 1)  # D_{k-n}..D_{k-1}
-    window.append(B[0])
-    yield B[0]
-    for k in range(1, top + 1):
-        acc: RawTerms = {}
-        for j, (b, prev) in enumerate(zip(B[1:], reversed(window)), start=1):
-            add_product_into(acc, b.scale((h + 1) * j - k), prev)
-        d = Polynomial.from_raw(acc).exact_div(k)
-        window.append(d)
-        yield d
 
 
 def iter_family(gf: RationalGF, N: int) -> Iterator[Polynomial]:

@@ -32,7 +32,8 @@ from math import comb
 from operator import index, mul
 from typing import Iterable, Iterator, Sequence
 
-from .errors import BadConstantTerm, NegativeOrder, NonIntegerOrder, OrderMismatch
+from .errors import (BadConstantTerm, BadPower, InvalidVariable, NegativeOrder,
+                     NonIntegerOrder, NotAPolynomial, OrderMismatch)
 from .poly import (
     RESERVED_VARIABLE,
     Polynomial,
@@ -43,10 +44,13 @@ from .poly import (
 
 
 def check_t_free(coeffs: Iterable[Polynomial], what: str) -> None:
-    """Raise ValueError if a coefficient mentions the series variable."""
+    """Raise NotAPolynomial if a coefficient is not a Polynomial, and
+    InvalidVariable if one mentions the series variable."""
     for p in coeffs:
+        if not isinstance(p, Polynomial):
+            raise NotAPolynomial(f"{what} coefficients must be Polynomials, got {p!r}")
         if p.mentions(RESERVED_VARIABLE):
-            raise ValueError(
+            raise InvalidVariable(
                 f"{what} coefficients must not mention the series variable"
             )
 
@@ -63,9 +67,9 @@ def check_order(N: int) -> int:
 
 
 def check_power(h: int) -> None:
-    """Raise ValueError unless the power h of B^-h is a positive integer."""
-    if not isinstance(h, int) or h < 1:
-        raise ValueError(f"power must be a positive integer, got {h}")
+    """Raise BadPower unless the power h of B^-h is a positive integer (not a bool)."""
+    if not isinstance(h, int) or isinstance(h, bool) or h < 1:
+        raise BadPower(f"power must be a positive integer, got {h!r}")
 
 
 def trimmed(coeffs: tuple[Polynomial, ...]) -> tuple[Polynomial, ...]:
@@ -80,12 +84,12 @@ def check_denominator(
     B: Iterable[Polynomial], N: int | None = None
 ) -> tuple[Polynomial, ...]:
     """B_0..B_min(n, N), the orders a caller reads (N = None reads them all),
-    with trailing zeros trimmed: BadConstantTerm unless B_0 = 1, ValueError
-    if an order read mentions t."""
+    with trailing zeros trimmed: BadConstantTerm unless B_0 = 1, and
+    check_t_free's errors for an order read."""
     B = tuple(islice(B, None if N is None else N + 1))
+    check_t_free(B, "denominator")
     if not B or not B[0].is_one():
         raise BadConstantTerm("denominator constant term must be 1")
-    check_t_free(B[1:], "denominator")
     return trimmed(B)
 
 

@@ -642,8 +642,7 @@ def test_verify_reads_the_denominator_only_to_order_n(capsys):
 
 def test_verify_catches_a_wrong_engine_power(capsys, monkeypatch):
     # the engine streams B^-h by Miller's loop and the power oracles build it
-    # without that loop, so an engine one power short fails the geometric
-    # check; multinomial compares the two oracles and passes
+    # without that loop, so an engine one power short fails every line
     real = recurrence._iter_power
 
     def one_power_short(B, h, top):
@@ -656,10 +655,9 @@ def test_verify_catches_a_wrong_engine_power(capsys, monkeypatch):
     assert code == 1
     lines = out.splitlines()
     assert [line.split(":")[0] for line in lines] == [
-        "FAIL geometric", "PASS multinomial (N=10)", "FAIL convolution",
-        "FAIL residual"
+        "FAIL geometric", "FAIL multinomial", "FAIL convolution", "FAIL residual"
     ]
-    assert all("first difference at k=2" in lines[i] for i in (0, 2, 3))
+    assert all("first difference at k=2" in line for line in lines)
 
 
 def test_verify_catches_a_wrong_geometric_weight(capsys, monkeypatch):
@@ -675,6 +673,28 @@ def test_verify_catches_a_wrong_geometric_weight(capsys, monkeypatch):
         "FAIL geometric", "FAIL multinomial", "PASS convolution (N=10)",
         "PASS residual (N=10)"
     ]
+
+
+def test_multinomial_alone_checks_the_engine_and_folds_no_power(capsys, monkeypatch):
+    # one wrong P_3 fails the multinomial line on its own; neither it nor
+    # the geometric line reads D = B^h, so neither folds it
+    def off_at_3(gf, N):
+        P = list(expand_family(gf, N))
+        P[3] = P[3] + Polynomial.one()
+        return SeriesPrefix(P)
+
+    def refuse(*args):
+        raise AssertionError("B^h was folded")
+
+    monkeypatch.setattr(RationalGF, "reduced_denominator", refuse)
+    for oracle in ("multinomial", "geometric"):
+        code, out, _ = run(capsys, ["verify", *FIB, "--pow", "2", "-N", "6",
+                                    "--oracle", oracle])
+        assert (code, out) == (0, f"PASS {oracle} (N=6)\n")
+    monkeypatch.setattr(cli, "expand_family", off_at_3)
+    code, out, _ = run(capsys, ["verify", *FIB, "--pow", "2", "-N", "6",
+                                "--oracle", "multinomial"])
+    assert code == 1 and out.startswith("FAIL multinomial: first difference at k=3")
 
 
 def test_high_power_expansion_does_linear_work_per_order(capsys, monkeypatch):
@@ -743,6 +763,23 @@ FRESH_ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] 
 def _cli_fresh(*argv: str) -> subprocess.CompletedProcess:
     return subprocess.run([*FRESH_CLI, *argv], env=FRESH_ENV, capture_output=True,
                           text=True, timeout=120)
+
+
+@pytest.mark.parametrize("num, first", [
+    # (1+x+y)^300's 45,451 terms, order by order; the binary powering that
+    # Miller's kernel replaced took about 46 s on a 2-core machine
+    ("(1+x+y)^300", "P_0 = x^300 + 300*x^299*y"),
+    # weights 0, 1 and 65536: the kernel tries only sums of nonzero orders
+    # and weights, not the 131,073 orders between 0 and 2*65536
+    ("(1+x+x^65536)^2", "P_0 = x^131072 + 2*x^65537 + 2*x^65536 + x^2 + 2*x + 1\n"),
+    # x and y tie, and the tie-break puts x^65536 about 4.3e9 weights away
+    ("(x+y+x^65536)^2", "P_0 = x^131072 + 2*x^65537 + 2*x^65536*y + x^2 + 2*x*y + y^2\n"),
+])
+def test_a_power_of_a_sum_expands_in_seconds(num, first):
+    start = perf_counter()
+    done = _cli_fresh("expand", "--num", num, "--den", "1-t", "-N", "0")
+    assert done.returncode == 0 and done.stdout.startswith(first)
+    assert perf_counter() - start < 15
 
 
 def test_more_variable_names_than_the_table_holds_exit_2():

@@ -1,6 +1,7 @@
 """Module boundaries: only ratgen.poly knows how a monomial is stored, only
-ratgen.recurrence runs the expansion loops, and the power oracles of
-ratgen.series name none of the engine's kernels."""
+ratgen.recurrence runs the expansion loops, Miller's power kernel is named
+only in ratgen.poly, its home, and by the engine, and the power oracles of
+ratgen.series name none of the engine's kernels and use no ``**``."""
 
 import ast
 import inspect
@@ -13,8 +14,14 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "ratgen"
 INTERNALS = (
     "._terms", "._raw(", "_mul_monomials", "_layout", "_SHIFTS", "_NAMES", "_MASK",
 )
-# every other module expands through iter_family or expand_family
-LOOPS = ("iter_terms", "_iter_power")
+# each loop and the modules that name it: every other module expands
+# through iter_family or expand_family, and powers through ** or
+# raise_denominator
+LOOPS = {
+    "iter_terms": {"recurrence.py"},
+    "_iter_power": {"recurrence.py"},
+    "_miller_power": {"poly.py", "recurrence.py"},  # its home, and the engine's name for it
+}
 
 
 def offenders(owner: str, needles: tuple[str, ...]) -> list[str]:
@@ -33,23 +40,27 @@ def test_only_poly_touches_the_monomial_representation():
 
 
 def test_only_recurrence_names_the_expansion_loops():
-    assert offenders("recurrence.py", LOOPS) == []
+    named = {loop: {path.name for path in SRC.glob("*.py") if loop in path.read_text()}
+             for loop in LOOPS}
+    assert named == LOOPS
 
 
 # the power oracles check the engine, so they share none of its kernels
 ENGINE_KERNELS = {
-    "convolve", "iter_convolve", "_iter_power", "iter_terms", "raise_denominator",
-    "iter_family", "expand_family",
+    "convolve", "iter_convolve", "_iter_power", "_miller_power", "iter_terms",
+    "raise_denominator", "iter_family", "expand_family",
 }
 
 
 def names_in(fn) -> set[str]:
-    """Every name and attribute the code of ``fn`` mentions (not its docstring)."""
+    """Every name and attribute the code of ``fn`` mentions (not its docstring),
+    and "**" if it raises to a power, which runs Miller's kernel."""
     tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
     return {
+        "**" if isinstance(node, ast.Pow) else
         node.id if isinstance(node, ast.Name) else node.attr
         for node in ast.walk(tree)
-        if isinstance(node, (ast.Name, ast.Attribute))
+        if isinstance(node, (ast.Name, ast.Attribute, ast.Pow))
     }
 
 
@@ -64,8 +75,9 @@ def test_the_power_oracles_name_no_engine_kernel():
         todo += [other for other in seen[name] if other.startswith("_")
                  and inspect.isfunction(getattr(series, other, None))]
     assert {"_check_oracle", "_nonzero_terms"} <= seen.keys()
-    assert {name: sorted(names & ENGINE_KERNELS) for name, names in seen.items()
-            if names & ENGINE_KERNELS} == {}
+    refused = ENGINE_KERNELS | {"**"}
+    assert {name: sorted(names & refused) for name, names in seen.items()
+            if names & refused} == {}
 
 
 # a prefix that skips the t check, or a polynomial handed its variable set,

@@ -23,7 +23,7 @@ from ratgen.errors import (
     NonIntegerValue,
     RatGenError,
 )
-from ratgen.parser import format_poly, join_in_t, split_in_t
+from ratgen.parser import format_poly, join_in_t, parse_poly, split_in_t
 from ratgen.poly import (
     MAX_DEGREE,
     MAX_VARIABLES,
@@ -80,6 +80,37 @@ def test_pow_matches_repeated_mul():
             by_mul = by_mul * p
         assert p**4 == by_mul
         assert p**4 == (p**2) * (p**2)
+
+
+def test_pow_of_sparse_and_tied_bases_matches_repeated_mul():
+    # ** grades the base and runs Miller's kernel on its nonzero parts only;
+    # a grading whose lowest part is not one term, or an order divided
+    # inexactly, would show here as a wrong coefficient
+    rng = random.Random(20261020)
+    bases = [parse_poly(text) for text in (
+        "1 + x + x^65536", "x + y + x^65536", "x - y + 3*x^9*y^40",
+        "x + x^2 + y + y^2 + x^3*y + x^3*y^2 + x*y^3 + x^2*y^3",
+    )]
+    for _ in range(40):  # few terms, exponents far apart
+        terms = {}
+        for _ in range(rng.randint(2, 4)):
+            mono = tuple((v, e) for v in ("x", "y", "z")
+                         if (e := rng.choice((0, 0, 1, 2, 7, 300))))
+            terms[mono] = rng.choice((-3, -1, 1, 2))
+        bases.append(Polynomial(terms))
+    for p in bases:
+        by_mul = one
+        for e in range(6):
+            assert p**e == by_mul, (p, e)
+            by_mul = by_mul * p
+
+
+def test_the_power_kernel_refuses_a_lowest_part_it_cannot_divide_by():
+    # Miller's kernel divides each order by p_0 = c*m: p_0 must be one term,
+    # and 1 for a negative power, whose D_0 it takes to be p_0
+    for p0, e in ((one + x, 2), (Polynomial.constant(2), -1), (x, -3)):
+        with pytest.raises(ValueError):
+            list(poly._miller_power({0: p0, 1: y}, e, 4))
 
 
 def test_eval_basics():

@@ -8,12 +8,18 @@ from helpers import COEFF_VARS, random_gf, random_poly, reference_product
 from ratgen import families, poly, recurrence, series
 from ratgen.errors import (
     BadConstantTerm,
+    BadPower,
     DegreeTooLarge,
+    EmptySeries,
+    InvalidVariable,
     MissingVariable,
     NegativeOrder,
     NonIntegerOrder,
     NonIntegerValue,
+    NotAPolynomial,
+    NotAnExpression,
     PowerNotOne,
+    RatGenError,
 )
 from ratgen.parser import join_in_t, parse_poly, split_in_t
 from ratgen.poly import Polynomial
@@ -33,6 +39,7 @@ from ratgen.recurrence import (
 from ratgen.series import (
     SeriesPrefix,
     cauchy_mul,
+    check_t_free,
     geometric_inverse,
     multinomial_inverse,
 )
@@ -127,6 +134,26 @@ def test_raise_denominator_rejects_bad_input():
             raise_denominator([one], h)
     with pytest.raises(NegativeOrder):
         raise_denominator(FIB_DEN, 2, -1)
+
+
+@pytest.mark.parametrize("call, error, builtin", [
+    (lambda: x ** -1, BadPower, ValueError),
+    (lambda: RationalGF(FIB_NUM, FIB_DEN, 0), BadPower, ValueError),
+    (lambda: RationalGF(FIB_NUM, FIB_DEN, True), BadPower, ValueError),
+    (lambda: raise_denominator(FIB_DEN, 0), BadPower, ValueError),
+    (lambda: geometric_inverse(FIB_DEN, 4, 0), BadPower, ValueError),
+    (lambda: check_t_free([Polynomial.symbol("t")], "numerator"), InvalidVariable, ValueError),
+    (lambda: RationalGF((), (one,)), EmptySeries, ValueError),
+    (lambda: RationalGF(("1",), (one,)), NotAPolynomial, AttributeError),
+    (lambda: RationalGF((one,), ("1",)), NotAPolynomial, AttributeError),
+    (lambda: parse_poly(None), NotAnExpression, TypeError),
+])
+def test_library_arguments_raise_typed_errors_that_keep_their_builtin(call, error, builtin):
+    # each error is a RatGenError, and still the builtin it was before it had
+    # a type, so an existing except clause keeps catching it
+    assert issubclass(error, RatGenError) and issubclass(error, builtin)
+    with pytest.raises(error):
+        call()
 
 
 def test_negative_power_inverts_the_positive_one():

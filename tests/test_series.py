@@ -5,7 +5,7 @@ import random
 import pytest
 
 from helpers import COEFF_VARS, random_denominator, random_poly
-from ratgen import recurrence, series
+from ratgen import poly, recurrence, series
 from ratgen.errors import BadConstantTerm, DegreeTooLarge, NegativeOrder, OrderMismatch
 from ratgen.parser import join_in_t, split_in_t
 from ratgen.poly import MAX_DEGREE, Polynomial
@@ -108,6 +108,7 @@ def test_oracles_use_neither_engine_kernel(monkeypatch):
         patch.setattr(Recurrence, "iter_terms", refuse)  # the recurrence loop
         patch.setattr(recurrence, "raise_denominator", refuse)  # the power fold
         patch.setattr(recurrence, "_iter_power", refuse)  # Miller's loop
+        patch.setattr(poly, "_miller_power", refuse)  # the same kernel, run by **
         patch.setattr(series, "convolve", refuse)
         patch.setattr(series, "iter_convolve", refuse)
         patch.setattr(recurrence, "iter_convolve", refuse)

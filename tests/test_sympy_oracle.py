@@ -1,17 +1,20 @@
 """sympy's series expansion as a third oracle for the recurrence engine.
 
 sympy shares no code with ratgen, so agreement here is independent of both
-the recurrence kernel and the two power oracles, which it checks too.  The
-expressions are built from ``Polynomial.items()``, not from the formatter or
-the parser.
+the recurrence kernel and the two power oracles, which it checks too.  It
+also checks ``**``, which runs Miller's kernel, against ``sympy.expand``.
+The expressions are built from ``Polynomial.items()``, not from the
+formatter or the parser.
 sympy is a test-only dependency; without it the test is skipped.
 """
 
+import math
 import random
 
 import pytest
 
 from helpers import COEFF_VARS, random_gf, random_poly
+from ratgen.parser import parse_poly
 from ratgen.poly import Polynomial
 from ratgen.recurrence import RationalGF, expand_family
 from ratgen.series import geometric_inverse, multinomial_inverse
@@ -69,3 +72,51 @@ def test_power_oracles_match_sympy_series():
             got = oracle(B, N, h)
             for k in range(N + 1):
                 assert sympy.expand(want.coeff(t, k) - as_sympy([got[k]])) == 0, (B, h, k)
+
+
+# total degree and every single name tie at both ends: x, y lowest and
+# x^3*y^2, x^2*y^3 highest
+TIE_HEAVY = "x + x^2 + y + y^2 + x^3*y + x^3*y^2 + x*y^3 + x^2*y^3"
+
+
+def homogeneous_poly(rng, names, degree):
+    """A sum of up to four terms of total degree ``degree`` over ``names``."""
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        exps = dict.fromkeys(names, 0)
+        for _ in range(degree):
+            exps[rng.choice(names)] += 1
+        mono = tuple((v, e) for v, e in sorted(exps.items()) if e)
+        terms[mono] = rng.choice((-3, -2, -1, 1, 2, 5))
+    return Polynomial(terms)
+
+
+def test_powers_of_sums_match_sympy_expand():
+    # ** runs Miller's kernel over a grading whose lowest part is one term:
+    # a constant, a term picked out by degree, or one picked out by names
+    rng = random.Random(20261019)
+    bases = [parse_poly(TIE_HEAVY), parse_poly("x*y + x*z + y*z"),
+             parse_poly("2*x^3 - 3*x*y"), parse_poly("1 + x + x^65536"),
+             parse_poly("x + y + x^65536")]
+    for _ in range(12):  # with a constant term
+        names = COEFF_VARS[: rng.randint(1, 3)]
+        constant = Polynomial.constant(rng.choice((-2, -1, 1, 3)))
+        bases.append(constant + random_poly(rng, names, max_terms=3))
+    for _ in range(12):  # homogeneous
+        names = COEFF_VARS[: rng.randint(1, 3)]
+        bases.append(homogeneous_poly(rng, names, rng.randint(1, 3)))
+    for base in bases:
+        for e in (0, 1, 2, rng.randint(3, 9)):
+            want = sympy.expand(as_sympy([base]) ** e)
+            assert sympy.expand(want - as_sympy([base ** e])) == 0, (base, e)
+
+
+def test_high_power_of_a_sum_has_multinomial_coefficients():
+    # the coefficient of x^i*y^j in (1+x+y)^300 is 300!/(i! j! (300-i-j)!)
+    n = 300
+    got = dict(parse_poly(f"(1+x+y)^{n}").items())
+    want = {
+        tuple((v, e) for v, e in (("x", i), ("y", j)) if e): math.comb(n, i) * math.comb(n - i, j)
+        for i in range(n + 1) for j in range(n - i + 1)
+    }
+    assert got == want
