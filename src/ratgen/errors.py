@@ -42,8 +42,9 @@ class NonIntegerOrder(RatGenError, TypeError):
 
 
 class BadPower(RatGenError, ValueError):
-    """A power h of B^h that is not a positive integer, or a negative ``**``
-    exponent."""
+    """A power h of B^h that is not a positive integer, a negative ``**``
+    exponent, or a negative exponent in a monomial given to a ``Polynomial``
+    constructor."""
 
 
 class PowerNotOne(RatGenError):

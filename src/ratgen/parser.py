@@ -37,6 +37,7 @@ from .poly import _NAME_RE, RESERVED_VARIABLE, Polynomial, RawTerms, add_product
 
 MAX_EXPONENT = 1 << 16
 MAX_NESTING = 100  # each '(' and each unary '-' opens one level
+_PLUS, _MINUS = Polynomial.one(), Polynomial.constant(-1)  # the signs of a sum's terms
 
 # One token after any whitespace, in a group named for its kind: ASCII
 # digits, a name (poly's _NAME_RE), an operator, or any other character,
@@ -105,12 +106,12 @@ class _Parser:
         # the terms are summed into one term map, so a long sum costs no
         # copy of the partial sum per term
         acc: RawTerms = {}
-        sign = 1
+        sign = _PLUS
         while True:
-            add_product_into(acc, self.parse_term(), Polynomial.constant(sign))
+            add_product_into(acc, self.parse_term(), sign)
             if self.kind not in ("+", "-"):
                 return Polynomial.from_raw(acc)
-            sign = 1 if self.advance()[0] == "+" else -1
+            sign = _PLUS if self.advance()[0] == "+" else _MINUS
 
     def parse_term(self) -> Polynomial:
         value = self.parse_factor()

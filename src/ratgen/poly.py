@@ -34,8 +34,9 @@ recurrence over the nonzero graded parts of a base whose lowest part is one
 term c*m, so each order divides exactly by an integer and by m, and
 dividing packed monomials by m subtracts keys.  It forms only the orders a
 nonzero order reaches, so its work does not grow with the gaps between the
-weights.  ``**`` runs it over the base graded by total degree, refined name
-by name until one term is lowest; the engine in :mod:`ratgen.recurrence`
+weights.  ``**`` runs it over a base of two or more terms graded by total
+degree, refined name by name until one term is lowest, and raises a
+one-term base c*m to (c*m)^e, the kernel's D_0, at once; the engine in :mod:`ratgen.recurrence`
 runs it over the t-grading of a denominator for B^h and B^-h.
 
 The zero polynomial is the empty map.  Normalization (no zero coefficients)
@@ -175,7 +176,7 @@ def _pack(mono: Monomial) -> int:
             packed += e << _shift(name)
             degree += e
         elif e:
-            raise ValueError(f"negative exponent for {name!r}")
+            raise BadPower(f"negative exponent for {name!r}")
     check_degree(degree)
     return packed + degree
 
@@ -223,15 +224,15 @@ class Polynomial:
             for mono, coeff in terms.items():
                 key = _pack(mono)
                 packed[key] = packed.get(key, 0) + _integer(coeff, "a coefficient")
-        object.__setattr__(self, "_terms", {m: c for m, c in packed.items() if c})
-        object.__setattr__(self, "_vars", None)
+        _set_terms(self, {m: c for m, c in packed.items() if c})
+        _set_vars(self, None)
 
     @classmethod
     def _raw(cls, terms: RawTerms) -> Polynomial:
         # Internal fast path: terms must already be packed and normalized.
         self = cls.__new__(cls)
-        object.__setattr__(self, "_terms", terms)
-        object.__setattr__(self, "_vars", None)
+        _set_terms(self, terms)
+        _set_vars(self, None)
         return self
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -293,7 +294,7 @@ class Polynomial:
         self = cls.from_raw(terms)
         terms = self._terms
         variables = names if len(terms) > (0 in terms) else _NO_NAMES
-        object.__setattr__(self, "_vars", variables)
+        _set_vars(self, variables)
         return self
 
     @classmethod
@@ -338,7 +339,7 @@ class Polynomial:
                 support >>= _WIDTH
                 i += 1
             cached = frozenset(names)
-            object.__setattr__(self, "_vars", cached)
+            _set_vars(self, cached)
         return cached
 
     def mentions(self, name: str) -> bool:
@@ -421,7 +422,9 @@ class Polynomial:
             return NotImplemented
         out = dict(self._terms)
         add_product_into(out, _ONE, other)
-        return Polynomial.from_raw(out)
+        if 0 in map(out.__getitem__, other._terms):  # only other's keys can cancel
+            out = {m: c for m, c in out.items() if c}
+        return Polynomial._raw(out)
 
     def __neg__(self) -> Polynomial:
         return self.scale(-1)
@@ -448,7 +451,8 @@ class Polynomial:
         degree, the weight K*w - e_v for one name v after another, with K
         the largest degree plus 1, refines it until exactly one term is
         lowest.  The kernel reads the parts by their weights' offsets from
-        that term, and only the nonzero ones."""
+        that term, and only the nonzero ones.  A one-term base c*m needs no
+        kernel: its power is (c*m)^e."""
         if not isinstance(exponent, int):
             return NotImplemented
         if exponent < 0:
@@ -459,6 +463,9 @@ class Polynomial:
         weights = list(map(_MASK.__and__, terms))  # in the order of terms
         low, K, shift = min(weights), max(weights) + 1, _WIDTH
         check_degree((K - 1) * exponent)
+        if len(terms) == 1:
+            [(m, c)] = terms.items()
+            return Polynomial._raw({m * exponent: c**exponent})
         tied = list(compress(terms, map(low.__eq__, weights)))
         while len(tied) > 1:  # the name at shift splits the tie if its exponents differ
             column = [m >> shift & _MASK for m in tied]
@@ -503,6 +510,8 @@ class Polynomial:
         return f"Polynomial({format_poly(self)!r})"
 
 
+# the slots' own setters, which bypass the __setattr__ that refuses writes
+_set_terms, _set_vars = Polynomial._terms.__set__, Polynomial._vars.__set__
 _ZERO = Polynomial._raw({})
 _ONE = Polynomial._raw({0: 1})
 _NO_NAMES: frozenset[str] = frozenset()
@@ -519,16 +528,23 @@ def add_product_into(acc: RawTerms, p: Polynomial, q: Polynomial) -> None:
     products build one dictionary instead of a chain of intermediates.
     The caller checks the degree bound of everything it accumulates.
 
-    A term c*m times a polynomial of at least ``_LONG`` terms, the shape of
-    every recurrence step, skips what it can: into an empty map it is a copy
-    when c*m is 1 and one comprehension otherwise, and into a filled map a
-    c of +-1 adds or subtracts with no multiply.
+    One term times one term, the shape of many of the oracles' products,
+    adds its one product with no loop.  A term c*m times a polynomial of at
+    least ``_LONG`` terms, the shape of every recurrence step, skips what it
+    can: into an empty map it is a copy when c*m is 1 and one comprehension
+    otherwise, and into a filled map a c of +-1 adds or subtracts with no
+    multiply.
     """
     pt, qt = p._terms, q._terms
     lp, lq = len(pt), len(qt)
     if lp > lq:  # iterate the smaller operand on the outside
         pt, qt, lp, lq = qt, pt, lq, lp
     if not lp:
+        return
+    if lq == 1:  # one term by one term
+        [(m1, c1)], [(m2, c2)] = pt.items(), qt.items()
+        m = m1 + m2
+        acc[m] = acc.get(m, 0) + c1 * c2
         return
     get = acc.get
     if lp == 1 and lq >= _LONG:

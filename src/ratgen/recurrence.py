@@ -292,9 +292,10 @@ def identity_residual(
     given is computed here.  The double sum
     sum_{j>=1} sum_l B_j A_l Q_{k-j-l} is order k of A * ((B - 1) * Q):
     both factors of every product are then a coefficient of the input and
-    one series term, never a product of two coefficients.  Each order,
-    [k <= m] A_k - P_k - sum_{l<=min(m,k)} A_l E_{k-l} with E = (B - 1) * Q,
-    is summed into one term map.  Returns the residual series rather than a
+    one series term, never a product of two coefficients.  Each order's
+    R_k = [k <= m] A_k - sum_{l<=min(m,k)} A_l E_{k-l}, with E = (B - 1) * Q,
+    is summed into one term map, and its entry is 0 where R_k equals P_k and
+    R_k - P_k otherwise.  Returns the residual series rather than a
     boolean so a failure shows exactly which order and which polynomial
     disagree.
     """
@@ -312,17 +313,17 @@ def identity_residual(
         Q = expand_inverse(B, N)
     E = convolve((_ZERO,) + B[1:], Q.coeffs, N)  # (B - 1) * Q
     check_convolution_degree(A, E, N)
-    one, minus_one = Polynomial.one(), Polynomial.constant(-1)
+    one = Polynomial.one()
     minus_A = [-a for a in A]
     residual = []
     for k in range(N + 1):
         acc: RawTerms = {}
         if k <= m:
             add_product_into(acc, A[k], one)
-        add_product_into(acc, minus_one, P[k])
         for l in range(min(m, k) + 1):
             add_product_into(acc, minus_A[l], E[k - l])
-        residual.append(Polynomial.from_raw(acc))
+        r = Polynomial.from_raw(acc)
+        residual.append(_ZERO if r == P[k] else r - P[k])
     return SeriesPrefix._unchecked(residual)
 
 

@@ -660,19 +660,67 @@ def test_verify_catches_a_wrong_engine_power(capsys, monkeypatch):
     assert all("first difference at k=2" in line for line in lines)
 
 
+def count_products(monkeypatch) -> list:
+    """Record each series the CLI's verify multiplies by A."""
+    real, calls = cli.convolve_numerator, []
+
+    def counted(A, Q):
+        calls.append(Q.order)
+        return real(A, Q)
+
+    monkeypatch.setattr(cli, "convolve_numerator", counted)
+    return calls
+
+
+def test_verify_multiplies_a_into_each_distinct_series_once(capsys, monkeypatch):
+    # on a PASS the geometric, multinomial and convolution series agree, so
+    # A * B^-h is formed once and read at each line's order
+    calls = count_products(monkeypatch)
+    code, out, _ = run(capsys, ["verify", *FIB, "-N", "20", "--oracle", "all"])
+    assert code == 0 and out.count("PASS") == 4
+    assert calls == [20]
+
+
 def test_verify_catches_a_wrong_geometric_weight(capsys, monkeypatch):
     # the geometric oracle weights H^k by C(k+h-1, k); one off in the top
     # argument builds B^-(h-1) instead, which fails both checks that read
-    # it, while convolution and residual, which never read it, pass
+    # it, while convolution and residual, which never read it, pass.  The
+    # other series then differ from the first one multiplied, so each gets
+    # its own product.
     monkeypatch.setattr(series, "comb", lambda n, k: math.comb(n - 1, k))
+    calls = count_products(monkeypatch)
     code, out, _ = run(capsys, [
         "verify", *FIB, "--pow", "3", "-N", "10", "--oracle", "all"
     ])
-    assert code == 1
-    assert [line.split(":")[0] for line in out.splitlines()] == [
-        "FAIL geometric", "FAIL multinomial", "PASS convolution (N=10)",
-        "PASS residual (N=10)"
-    ]
+    assert code == 1 and calls == [10, 10, 10]
+    assert out == (
+        "FAIL geometric: first difference at k=2: engine 3*x vs oracle 2*x\n"
+        "FAIL multinomial: first difference at k=1: engine 3*x vs oracle 2*x\n"
+        "PASS convolution (N=10)\nPASS residual (N=10)\n"
+    )
+
+
+def test_verify_multiplies_a_series_that_differs_on_its_own(capsys, monkeypatch):
+    # a multinomial B^-h off at k = 3 misses the stored product and fails
+    # its own line there; the lines around it still pass
+    real = cli.multinomial_inverse
+
+    def off_at_3(B, N, h=1):
+        coeffs = list(real(B, N, h))
+        coeffs[3] = coeffs[3] + Polynomial.one()
+        return SeriesPrefix(coeffs)
+
+    monkeypatch.setattr(cli, "multinomial_inverse", off_at_3)
+    calls = count_products(monkeypatch)
+    code, out, _ = run(capsys, ["verify", "--num", "1", "--den", "1 - x*t - t^2",
+                                "--pow", "2", "-N", "8", "--oracle", "all"])
+    assert code == 1 and calls == [8, 8]
+    assert out == (
+        "PASS geometric (N=8)\n"
+        "FAIL multinomial: first difference at k=3: "
+        "engine 4*x^3 + 6*x vs oracle 4*x^3 + 6*x + 1\n"
+        "PASS convolution (N=8)\nPASS residual (N=8)\n"
+    )
 
 
 def test_multinomial_alone_checks_the_engine_and_folds_no_power(capsys, monkeypatch):

@@ -41,6 +41,11 @@ zero = Polynomial.zero()
 def test_add_cancellation():
     assert (x + one) + (x - one) == Polynomial.term(2, {"x": 1})
     assert (x**2 + y) + (x**2 - y) == Polynomial.term(2, {"x": 2})
+    # + looks for zeros among the right side's keys only, the ones that can cancel
+    assert x + (-x) == 0 and len(x + (-x)) == 0
+    partly = (x**3 + Polynomial.term(2, {"x": 1, "y": 1}) - y + one) + (y - x**3 + x)
+    assert partly == Polynomial.term(2, {"x": 1, "y": 1}) + x + one
+    assert len(partly) == 3  # no zero coefficient kept
 
 
 def test_add_identity():
@@ -80,6 +85,22 @@ def test_pow_matches_repeated_mul():
             by_mul = by_mul * p
         assert p**4 == by_mul
         assert p**4 == (p**2) * (p**2)
+
+
+def test_one_term_powers_match_repeated_mul_and_keep_the_degree_bound():
+    # a one-term base c*m gives (c*m)^e at once, after the degree check
+    rng = random.Random(20261021)
+    for _ in range(60):
+        mono = {v: e for v in ("x", "y", "z") if (e := rng.choice((0, 1, 2, 5, 40)))}
+        p = Polynomial.term(rng.choice((-3, -1, 1, 2, 7)), mono)
+        by_mul = one
+        for e in range(7):
+            assert p**e == by_mul, (p, e)
+            by_mul = by_mul * p
+    with pytest.raises(DegreeTooLarge):
+        x ** (MAX_DEGREE + 1)
+    with pytest.raises(DegreeTooLarge):
+        Polynomial.term(-2, {"x": 1, "y": 1}) ** (MAX_DEGREE // 2 + 1)
 
 
 def test_pow_of_sparse_and_tied_bases_matches_repeated_mul():

@@ -138,6 +138,8 @@ def test_raise_denominator_rejects_bad_input():
 
 @pytest.mark.parametrize("call, error, builtin", [
     (lambda: x ** -1, BadPower, ValueError),
+    (lambda: Polynomial({(("x", -1),): 1}), BadPower, ValueError),
+    (lambda: Polynomial.term(1, {"x": -2}), BadPower, ValueError),
     (lambda: RationalGF(FIB_NUM, FIB_DEN, 0), BadPower, ValueError),
     (lambda: RationalGF(FIB_NUM, FIB_DEN, True), BadPower, ValueError),
     (lambda: raise_denominator(FIB_DEN, 0), BadPower, ValueError),
