@@ -31,6 +31,7 @@ from .recurrence import (
     expand_family,
     expand_inverse,
     identity_residual,
+    inverts,
     iter_family,
     iter_values,
     render_recurrence,
@@ -317,7 +318,6 @@ def _cmd_verify(args: argparse.Namespace) -> Output:
     # read D = B^h, folded once and only to order N
     B, h = gf.denominator, gf.power
     engine = expand_family(gf, N)
-    inverse = None  # Q, built once for the convolution and residual oracles
     geometric = None  # B^-h by the geometric sum, built once for two oracles
     first = None  # (Y, A * Y) for the first series Y multiplied by A
 
@@ -357,11 +357,18 @@ def _cmd_verify(args: argparse.Namespace) -> Output:
         reports.append(report)
     if selected in ("convolution", "residual", "all"):
         reduced = RationalGF(gf.numerator, gf.reduced_denominator(N))
+        D = reduced.denominator
+        # Q = 1/D for both lines below: on a PASS the stored B^-h, checked
+        # once by D * Y = 1 to order N and read with its A * Y, and otherwise
+        # expanded here, the residual line then forming the whole identity
+        if first and inverts(D, first[0], N):
+            inverse, product = first
+        else:
+            inverse, product = expand_inverse(D, N), None
     if selected in ("convolution", "all"):
-        inverse = expand_inverse(reduced.denominator, N)
         reports.append(_report("convolution", engine, times_A(inverse), f"N={N}"))
     if selected in ("residual", "all"):
-        residual = identity_residual(reduced, N, engine, inverse)
+        residual = identity_residual(reduced, N, engine, inverse, product)
         zero = SeriesPrefix.from_polynomials((), N)
         reports.append(_report("residual", residual, zero, f"N={N}"))
     return (0 if all(ok for ok, _ in reports) else 1), [line for _, line in reports]

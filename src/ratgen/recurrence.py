@@ -35,7 +35,6 @@ from .errors import EmptySeries, PowerNotOne
 from .poly import Polynomial, RawTerms, _miller_power, add_product_into, require_values
 from .series import (
     SeriesPrefix,
-    check_convolution_degree,
     check_denominator,
     check_growth,
     check_order,
@@ -279,25 +278,44 @@ def convolve_numerator(A: Sequence[Polynomial], Q: SeriesPrefix) -> SeriesPrefix
     return SeriesPrefix._unchecked(convolve(A, Q.coeffs, Q.order))
 
 
+def tail_product(B: Sequence[Polynomial], Q: SeriesPrefix, N: int) -> list[Polynomial]:
+    """E_0..E_N of E = (B - 1) * Q: each product is a coefficient of the
+    input and one series term, never a product of two coefficients."""
+    return convolve((_ZERO, *B[1:]), Q.coeffs, N)
+
+
+def inverts(B: Sequence[Polynomial], Q: SeriesPrefix, N: int) -> bool:
+    """Whether Q is 1/B to order N.
+
+    E = (B - 1) * Q is formed once: Q_0 = 1 and E_k = -Q_k for 1 <= k <= N
+    say that B * Q = 1 to order N, which with B_0 = 1 has one solution, so
+    Q is 1/B there.  A Q of fewer than N + 1 terms inverts nothing."""
+    if len(Q) <= N or not Q[0].is_one():
+        return False
+    E = tail_product(B, Q, N)
+    return all(e == -q for e, q in zip(E[1:], Q.coeffs[1:]))
+
+
 def identity_residual(
     gf: RationalGF,
     N: int,
     P: SeriesPrefix | None = None,
     Q: SeriesPrefix | None = None,
+    AQ: SeriesPrefix | None = None,
 ) -> SeriesPrefix:
     """Left-minus-right of the double-sum identity; every entry must be 0.
 
     P and Q are the expansion of gf and the inverse sequence of its
     denominator to order N, the series the identity checks; each one not
     given is computed here.  The double sum
-    sum_{j>=1} sum_l B_j A_l Q_{k-j-l} is order k of A * ((B - 1) * Q):
-    both factors of every product are then a coefficient of the input and
-    one series term, never a product of two coefficients.  Each order's
-    R_k = [k <= m] A_k - sum_{l<=min(m,k)} A_l E_{k-l}, with E = (B - 1) * Q,
-    is summed into one term map, and its entry is 0 where R_k equals P_k and
-    R_k - P_k otherwise.  Returns the residual series rather than a
-    boolean so a failure shows exactly which order and which polynomial
-    disagree.
+    sum_{j>=1} sum_l B_j A_l Q_{k-j-l} is order k of A * E with
+    E = (B - 1) * Q (:func:`tail_product`), so order k of the identity's
+    left side is R_k = [k <= m] A_k - (A * E)_k, and its entry is 0 where
+    R_k equals P_k and R_k - P_k otherwise.  AQ, when given, is A * Q for a
+    Q that :func:`inverts` B: then E = 1 - Q and R = A - A * E = A * Q, so
+    AQ is read as R and no product is formed.  Returns the residual series
+    rather than a boolean so a failure shows exactly which order and which
+    polynomial disagree.
     """
     if gf.power != 1:
         raise PowerNotOne(
@@ -306,25 +324,17 @@ def identity_residual(
     N = check_order(N)
     A = gf.numerator
     B = gf.denominator
-    m = gf.m
     if P is None:
         P = expand_family(gf, N)
-    if Q is None:
-        Q = expand_inverse(B, N)
-    E = convolve((_ZERO,) + B[1:], Q.coeffs, N)  # (B - 1) * Q
-    check_convolution_degree(A, E, N)
-    one = Polynomial.one()
-    minus_A = [-a for a in A]
-    residual = []
-    for k in range(N + 1):
-        acc: RawTerms = {}
-        if k <= m:
-            add_product_into(acc, A[k], one)
-        for l in range(min(m, k) + 1):
-            add_product_into(acc, minus_A[l], E[k - l])
-        r = Polynomial.from_raw(acc)
-        residual.append(_ZERO if r == P[k] else r - P[k])
-    return SeriesPrefix._unchecked(residual)
+    R = AQ
+    if R is None:
+        if Q is None:
+            Q = expand_inverse(B, N)
+        AE = convolve(A, tail_product(B, Q, N), N)
+        R = [a - ae for a, ae in zip(SeriesPrefix.from_polynomials(A, N), AE)]
+    return SeriesPrefix._unchecked(
+        _ZERO if R[k] == P[k] else R[k] - P[k] for k in range(N + 1)
+    )
 
 
 def derive_recurrence(gf: RationalGF, N: int | None = None) -> Recurrence:

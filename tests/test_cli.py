@@ -603,7 +603,9 @@ def test_verify_expands_p_and_q_once(capsys, monkeypatch):
     monkeypatch.setattr(cli, "expand_family", counted)
     code, out, _ = run(capsys, ["verify", *FIB, "-N", "8", "--oracle", "all"])
     assert code == 0 and out.count("PASS") == 4
-    assert calls == [8, 8]  # the engine's P and the inverse sequence Q
+    # the engine's P; the geometric B^-h is checked to invert D and read as
+    # Q, so Q is never expanded
+    assert calls == [8]
 
 
 def test_verify_catches_a_wrong_power_fold(capsys, monkeypatch):
@@ -672,6 +674,39 @@ def count_products(monkeypatch) -> list:
     return calls
 
 
+def count_inverses(monkeypatch) -> list:
+    """Record the order of each Q = 1/D the CLI's verify expands."""
+    real, calls = cli.expand_inverse, []
+
+    def counted(D, N):
+        calls.append(N)
+        return real(D, N)
+
+    monkeypatch.setattr(cli, "expand_inverse", counted)
+    return calls
+
+
+@pytest.mark.parametrize("power", [[], ["--pow", "2"]])
+def test_verify_reads_no_stored_series_whose_first_order_is_not_one(
+    capsys, monkeypatch, power
+):
+    # twice B^-h keeps E_k = -Y_k for k >= 1, since (D - 1) * 2Q = 2 - 2Q,
+    # but Y_0 = 2: it does not invert D, so the convolution and residual
+    # lines expand Q for themselves and pass
+    real = cli.geometric_inverse
+    monkeypatch.setattr(cli, "geometric_inverse", lambda B, N, h=1: SeriesPrefix(
+        [p.scale(2) for p in real(B, N, h)]))
+    inverses = count_inverses(monkeypatch)
+    code, out, _ = run(capsys, ["verify", "--num", "t", "--den", "1 - x*t - t^2",
+                                "-N", "10", "--oracle", "all", *power])
+    assert code == 1 and inverses == [10]
+    assert out == (
+        "FAIL geometric: first difference at k=1: engine 1 vs oracle 2\n"
+        "FAIL multinomial: first difference at k=0: engine 1 vs oracle 2\n"
+        "PASS convolution (N=10)\nPASS residual (N=10)\n"
+    )
+
+
 def test_verify_multiplies_a_into_each_distinct_series_once(capsys, monkeypatch):
     # on a PASS the geometric, multinomial and convolution series agree, so
     # A * B^-h is formed once and read at each line's order
@@ -689,10 +724,12 @@ def test_verify_catches_a_wrong_geometric_weight(capsys, monkeypatch):
     # its own product.
     monkeypatch.setattr(series, "comb", lambda n, k: math.comb(n - 1, k))
     calls = count_products(monkeypatch)
+    inverses = count_inverses(monkeypatch)
     code, out, _ = run(capsys, [
         "verify", *FIB, "--pow", "3", "-N", "10", "--oracle", "all"
     ])
-    assert code == 1 and calls == [10, 10, 10]
+    # the stored B^-(h-1) does not invert D = B^h, so Q is expanded once
+    assert code == 1 and calls == [10, 10, 10] and inverses == [10]
     assert out == (
         "FAIL geometric: first difference at k=2: engine 3*x vs oracle 2*x\n"
         "FAIL multinomial: first difference at k=1: engine 3*x vs oracle 2*x\n"

@@ -31,10 +31,12 @@ from ratgen.recurrence import (
     expand_family,
     expand_inverse,
     identity_residual,
+    inverts,
     iter_family,
     iter_values,
     raise_denominator,
     render_recurrence,
+    tail_product,
 )
 from ratgen.series import (
     SeriesPrefix,
@@ -633,7 +635,14 @@ def test_identity_residual_equals_a_reference_built_with_ring_operations(h):
         if not any(gf.numerator) or gf.n == 0:
             continue
         P, Q = expand_family(gf, N), expand_inverse(gf.denominator, N)
-        assert list(identity_residual(gf, N, P, Q)) == [zero] * (N + 1)
+        AQ = convolve_numerator(gf.numerator, Q)
+
+        def residuals(P):
+            # Q inverts D: the identity formed here, then read from A * Q
+            return [list(identity_residual(gf, N, P, Q, *given)) for given in ((), (AQ,))]
+
+        assert inverts(gf.denominator, Q, N)
+        assert residuals(P) == [[zero] * (N + 1)] * 2
         # A * (D - 1) starts at order low <= 5, so a change of Q_k shows from k + low
         low = (next(l for l, a in enumerate(gf.numerator) if a)
                + next(j for j, d in enumerate(gf.denominator) if j and d))
@@ -642,12 +651,37 @@ def test_identity_residual_equals_a_reference_built_with_ring_operations(h):
         bad_P, bad_Q = corrupt(P, k, delta), corrupt(Q, k, delta)
         expected = reference_residual(gf, N, bad_P, Q)
         assert expected == [zero] * k + [-delta] + [zero] * (N - k)
-        assert list(identity_residual(gf, N, bad_P, Q)) == expected
+        assert residuals(bad_P) == [expected] * 2
+        # bad_Q inverts nothing, so only the whole identity reads it
+        assert not inverts(gf.denominator, bad_Q, N)
         expected = reference_residual(gf, N, P, bad_Q)
         assert expected[: k + low] == [zero] * (k + low)
         assert expected[k + low]
         assert list(identity_residual(gf, N, P, bad_Q)) == expected
         checked += 1
+
+
+def test_a_series_whose_first_order_is_not_one_inverts_nothing():
+    # 2Q keeps E_k = -(2Q)_k for k >= 1, since (B - 1) * 2Q = 2 - 2Q, but
+    # (2Q)_0 = 2: 2Q does not invert B, and the residual is P - A, not P
+    gf, N = fib_gf(), 6
+    P = expand_family(gf, N)
+    twice = SeriesPrefix([q.scale(2) for q in expand_inverse(gf.denominator, N)])
+    E = tail_product(gf.denominator, twice, N)
+    assert E[1:] == [-q for q in twice[1:]] and not inverts(gf.denominator, twice, N)
+    expected = reference_residual(gf, N, P, twice)
+    A = SeriesPrefix.from_polynomials(gf.numerator, N)
+    assert expected == [p - a for p, a in zip(P, A)] and any(expected)
+    assert list(identity_residual(gf, N, P, twice)) == expected
+
+
+def test_identity_residual_reads_a_short_q_as_zero_past_its_order():
+    # Q to order 3 of 6 is read with zeros after it, so it inverts nothing
+    gf, N = fib_gf(), 6
+    P, Q = expand_family(gf, N), expand_inverse(gf.denominator, 3)
+    padded = SeriesPrefix.from_polynomials(Q.coeffs, N)
+    assert not inverts(gf.denominator, Q, N)
+    assert list(identity_residual(gf, N, P, Q)) == reference_residual(gf, N, P, padded)
 
 
 def test_the_series_variable_is_refused_where_coefficients_enter():

@@ -4,16 +4,19 @@ sympy shares no code with ratgen, so agreement here is independent of both
 the recurrence kernel and the two power oracles, which it checks too.  It
 also checks ``**``, which runs Miller's kernel, against ``sympy.expand``.
 The expressions are built from ``Polynomial.items()``, not from the
-formatter or the parser.
+formatter or the parser.  The recurrence that ``ratgen recurrence`` prints is
+checked the same way: sympy runs the printed text itself.
 sympy is a test-only dependency; without it the test is skipped.
 """
 
 import math
 import random
+import re
 
 import pytest
 
 from helpers import COEFF_VARS, random_gf, random_poly
+from ratgen.cli import main
 from ratgen.parser import parse_poly
 from ratgen.poly import Polynomial
 from ratgen.recurrence import RationalGF, expand_family
@@ -43,6 +46,57 @@ def check_against_sympy(gf, N):
     for k in range(N + 1):
         diff = sympy.expand(want.coeff(t, k) - as_sympy([got[k]]))
         assert diff == 0, (gf, k)
+
+
+def as_text(coeffs):
+    """sum_j coeffs[j] * t^j as CLI input, one term at a time."""
+    terms = [f"({c})" + "".join(f"*{var}^{e}" for var, e in mono) + f"*t^{j}"
+             for j, p in enumerate(coeffs) for mono, c in p.items()]
+    return " + ".join(terms) or "0"
+
+
+def run_printed_recurrence(text, K):
+    """P_0..P_K, as polynomials in x and y, from the printed
+    ``P_k = <rhs> (k >= s); P_0 = ..; ..`` run by sympy."""
+    x, y = sympy.symbols("x y")
+    rule, *initial = text.split("; ")
+    rhs, start = re.fullmatch(r"P_k = (.*) \(k >= (\d+)\)", rule).groups()
+    # P_{k-j} becomes the symbol back_j; the right side is linear in them
+    rhs = sympy.sympify(re.sub(r"P_\{k-(\d+)\}", r"back_\1", rhs).replace("^", "**"))
+    back = {int(s.name[5:]): s for s in rhs.free_symbols if s.name.startswith("back_")}
+    feedback = {j: sympy.expand(rhs).coeff(s) for j, s in back.items()}
+    assert sympy.expand(rhs - sum(c * back[j] for j, c in feedback.items())) == 0
+    feedback = {j: sympy.Poly(c, x, y) for j, c in feedback.items()}
+    P = []
+    for k, value in enumerate(initial):
+        name, value = value.split(" = ")
+        assert name == f"P_{k}"
+        P.append(sympy.Poly(sympy.sympify(value.replace("^", "**")), x, y))
+    assert len(P) == int(start)
+    while len(P) <= K:
+        k = len(P)
+        P.append(sum((c * P[k - j] for j, c in feedback.items()), sympy.Poly(0, x, y)))
+    return P[: K + 1]
+
+
+def test_printed_recurrence_matches_sympy_series(capsys):
+    # the recurrence text and its initial values, read back by sympy and
+    # run past the feedback's length, against the series of A/B^h
+    rng = random.Random(20261020)
+    for h in (1, 2, 3, 1, 2, 3, 2, 3):
+        names = ("x", "y")
+        A = [random_poly(rng, names) for _ in range(rng.randint(1, 3))]
+        B = [Polynomial.one()] + [random_poly(rng, names, allow_zero=False)
+                                  for _ in range(rng.randint(1, 2))]
+        gf = RationalGF(A, B, h)
+        assert main(["recurrence", "--num", as_text(A), "--den", as_text(B),
+                     "--pow", str(h)]) == 0
+        text = capsys.readouterr().out.splitlines()[0]
+        K = 3 * (h * gf.n + gf.m)
+        f = as_sympy(gf.numerator) / as_sympy(gf.denominator) ** h
+        want = sympy.expand(sympy.series(f, t, 0, K + 1).removeO())
+        for k, got in enumerate(run_printed_recurrence(text, K)):
+            assert sympy.expand(want.coeff(t, k) - got.as_expr()) == 0, (text, k)
 
 
 def test_expansion_matches_sympy_series():
