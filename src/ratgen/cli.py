@@ -30,6 +30,7 @@ from .recurrence import (
     convolve_numerator,
     expand_family,
     expand_inverse,
+    expand_power,
     identity_residual,
     inverts,
     iter_family,
@@ -317,24 +318,39 @@ def _cmd_verify(args: argparse.Namespace) -> Output:
     # oracles build B^-h from B and h, and the convolution and residual ones
     # read D = B^h, folded once and only to order N
     B, h = gf.denominator, gf.power
-    engine = expand_family(gf, N)
-    geometric = None  # B^-h by the geometric sum, built once for two oracles
-    first = None  # (Y, A * Y) for the first series Y multiplied by A
+    # (Y, A * Y) for the first series Y multiplied by A: for h > 1 the
+    # engine's own B^-h and its expansion P
+    first = expand_power(gf, N) if h > 1 else None
+    engine = first[1] if first else expand_family(gf, N)
 
-    def times_A(X: SeriesPrefix) -> SeriesPrefix:
-        """A * X: the stored A * Y cut to X's order where X is a prefix of
-        Y, as every oracle's B^-h is on a PASS, and a new product otherwise."""
+    def times_A(X: SeriesPrefix) -> tuple[SeriesPrefix, SeriesPrefix]:
+        """X and A * X: where X is a prefix of the stored Y, as every
+        oracle's B^-h is on a PASS, Y's prefix and the stored A * Y cut to
+        X's order, so each later comparison is by identity; otherwise X and
+        a new product."""
         nonlocal first
         if first and X.coeffs == first[0].coeffs[:len(X)]:
-            return first[1].truncate(X.order)
+            return first[0].truncate(X.order), first[1].truncate(X.order)
         product = convolve_numerator(gf.numerator, X)
         first = first or (X, product)
-        return product
+        return X, product
+
+    def check_engine(
+        name: str, X: SeriesPrefix, note: str
+    ) -> tuple[tuple[bool, str], SeriesPrefix]:
+        """The line that compares the engine with A * X to X's order, and
+        times_A's X; an engine found equal to A * X to order N becomes it."""
+        nonlocal engine
+        X, product = times_A(X)
+        report = _report(name, engine.truncate(X.order), product, note)
+        if report[0] and X.order == N:
+            engine = product
+        return report, X
 
     reports = []
     if selected in ("geometric", "all"):
-        geometric = geometric_inverse(B, N, h)
-        reports.append(_report("geometric", engine, times_A(geometric), f"N={N}"))
+        report, geometric = check_engine("geometric", geometric_inverse(B, N, h), f"N={N}")
+        reports.append(report)
     if selected in ("multinomial", "all"):
         n_m = N
         note = f"N={N}"
@@ -346,13 +362,12 @@ def _cmd_verify(args: argparse.Namespace) -> Output:
                 )
             n_m = MULTINOMIAL_ORDER_CAP
             note = f"capped at N={n_m}"
-        lhs = multinomial_inverse(B, n_m, h)
-        rhs = (geometric_inverse(B, n_m, h) if geometric is None
-               else geometric.truncate(n_m))
         # the engine against A * B^-h, then the two oracles against each
         # other: the line fails if either differs
-        report = _report("multinomial", engine.truncate(n_m), times_A(lhs), note)
+        report, lhs = check_engine("multinomial", multinomial_inverse(B, n_m, h), note)
         if report[0]:
+            rhs = (geometric_inverse(B, n_m, h) if selected == "multinomial"
+                   else geometric.truncate(n_m))
             report = _report("multinomial", lhs, rhs, note)
         reports.append(report)
     if selected in ("convolution", "residual", "all"):
@@ -366,7 +381,7 @@ def _cmd_verify(args: argparse.Namespace) -> Output:
         else:
             inverse, product = expand_inverse(D, N), None
     if selected in ("convolution", "all"):
-        reports.append(_report("convolution", engine, times_A(inverse), f"N={N}"))
+        reports.append(check_engine("convolution", inverse, f"N={N}")[0])
     if selected in ("residual", "all"):
         residual = identity_residual(reduced, N, engine, inverse, product)
         zero = SeriesPrefix.from_polynomials((), N)

@@ -409,7 +409,7 @@ class Polynomial:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Polynomial):
-            return self._terms == other._terms
+            return self is other or self._terms == other._terms
         if isinstance(other, int):
             return self._terms == ({0: other} if other else {})
         return NotImplemented

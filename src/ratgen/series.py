@@ -313,12 +313,16 @@ def multinomial_inverse(
     fact = list(accumulate(range(1, N + 1), mul, initial=1))
     rising = list(accumulate(range(h, h + N), mul, initial=1))  # h^(s)
     out: list[RawTerms] = [{} for _ in range(N + 1)]
+    constants: dict[int, Polynomial] = {}  # h^(s) / (j_1!..j_n!) for each value met
     # a tuple whose last nonzero exponent sits before factors[start]; its
     # weight, s, j_1!..j_n! and product (-B_1)^j_1..(-B_n)^j_n
     stack = [(0, 0, 0, 1, Polynomial.one())]
     while stack:
         start, weight, s, denom, prod = stack.pop()
-        add_product_into(out[weight], Polynomial.constant(rising[s] // denom), prod)
+        c = rising[s] // denom
+        if c not in constants:
+            constants[c] = Polynomial.constant(c)
+        add_product_into(out[weight], constants[c], prod)
         for i in range(start, len(factors)):
             l, factor = factors[i]
             if weight + l > N:

@@ -654,12 +654,12 @@ def test_verify_catches_a_wrong_engine_power(capsys, monkeypatch):
     code, out, _ = run(capsys, [
         "verify", *FIB, "--pow", "3", "-N", "10", "--oracle", "all"
     ])
-    assert code == 1
-    lines = out.splitlines()
-    assert [line.split(":")[0] for line in lines] == [
-        "FAIL geometric", "FAIL multinomial", "FAIL convolution", "FAIL residual"
-    ]
-    assert all("first difference at k=2" in line for line in lines)
+    assert (code, out) == (1, (
+        "FAIL geometric: first difference at k=2: engine 2*x vs oracle 3*x\n"
+        "FAIL multinomial: first difference at k=2: engine 2*x vs oracle 3*x\n"
+        "FAIL convolution: first difference at k=2: engine 2*x vs oracle 3*x\n"
+        "FAIL residual: first difference at k=2: engine x vs oracle 0\n"
+    ))
 
 
 def count_products(monkeypatch) -> list:
@@ -691,15 +691,17 @@ def test_verify_reads_no_stored_series_whose_first_order_is_not_one(
     capsys, monkeypatch, power
 ):
     # twice B^-h keeps E_k = -Y_k for k >= 1, since (D - 1) * 2Q = 2 - 2Q,
-    # but Y_0 = 2: it does not invert D, so the convolution and residual
-    # lines expand Q for themselves and pass
+    # but Y_0 = 2: it does not invert D, so at h = 1, where it is the stored
+    # series, the convolution and residual lines expand Q for themselves and
+    # pass; at h = 2 the stored series is the engine's own B^-h, which
+    # inverts D, so Q is never expanded
     real = cli.geometric_inverse
     monkeypatch.setattr(cli, "geometric_inverse", lambda B, N, h=1: SeriesPrefix(
         [p.scale(2) for p in real(B, N, h)]))
     inverses = count_inverses(monkeypatch)
     code, out, _ = run(capsys, ["verify", "--num", "t", "--den", "1 - x*t - t^2",
                                 "-N", "10", "--oracle", "all", *power])
-    assert code == 1 and inverses == [10]
+    assert code == 1 and inverses == ([] if power else [10])
     assert out == (
         "FAIL geometric: first difference at k=1: engine 1 vs oracle 2\n"
         "FAIL multinomial: first difference at k=0: engine 1 vs oracle 2\n"
@@ -716,20 +718,35 @@ def test_verify_multiplies_a_into_each_distinct_series_once(capsys, monkeypatch)
     assert calls == [20]
 
 
+@pytest.mark.parametrize("oracle", ["all", "convolution"])
+def test_verify_reads_the_engines_own_inverse_power(capsys, monkeypatch, oracle):
+    # for h > 1 the engine's own (B^-h, P) is the stored pair: on a PASS each
+    # oracle's B^-h equals it, and it inverts D = B^h, so no A * Y is formed
+    # and no Q expanded beyond the engine's product
+    calls = count_products(monkeypatch)
+    inverses = count_inverses(monkeypatch)
+    code, out, _ = run(capsys, ["verify", *FIB, "--pow", "2", "-N", "10",
+                                "--oracle", oracle])
+    names = ("geometric", "multinomial", "convolution", "residual")
+    assert (code, calls, inverses) == (0, [], [])
+    assert out == "".join(f"PASS {name} (N=10)\n" for name in names
+                          if oracle in (name, "all"))
+
+
 def test_verify_catches_a_wrong_geometric_weight(capsys, monkeypatch):
     # the geometric oracle weights H^k by C(k+h-1, k); one off in the top
     # argument builds B^-(h-1) instead, which fails both checks that read
-    # it, while convolution and residual, which never read it, pass.  The
-    # other series then differ from the first one multiplied, so each gets
-    # its own product.
+    # it, while convolution and residual, which never read it, pass.  Only
+    # the geometric series differs from the engine's own B^-h, the stored
+    # series, so it alone gets a product.
     monkeypatch.setattr(series, "comb", lambda n, k: math.comb(n - 1, k))
     calls = count_products(monkeypatch)
     inverses = count_inverses(monkeypatch)
     code, out, _ = run(capsys, [
         "verify", *FIB, "--pow", "3", "-N", "10", "--oracle", "all"
     ])
-    # the stored B^-(h-1) does not invert D = B^h, so Q is expanded once
-    assert code == 1 and calls == [10, 10, 10] and inverses == [10]
+    # the engine's B^-h inverts D = B^h, so Q is never expanded
+    assert code == 1 and calls == [10] and inverses == []
     assert out == (
         "FAIL geometric: first difference at k=2: engine 3*x vs oracle 2*x\n"
         "FAIL multinomial: first difference at k=1: engine 3*x vs oracle 2*x\n"
@@ -738,8 +755,9 @@ def test_verify_catches_a_wrong_geometric_weight(capsys, monkeypatch):
 
 
 def test_verify_multiplies_a_series_that_differs_on_its_own(capsys, monkeypatch):
-    # a multinomial B^-h off at k = 3 misses the stored product and fails
-    # its own line there; the lines around it still pass
+    # a multinomial B^-h off at k = 3 misses the engine's own B^-h, the
+    # stored series, gets the one product and fails its own line there; the
+    # lines around it still pass
     real = cli.multinomial_inverse
 
     def off_at_3(B, N, h=1):
@@ -751,7 +769,7 @@ def test_verify_multiplies_a_series_that_differs_on_its_own(capsys, monkeypatch)
     calls = count_products(monkeypatch)
     code, out, _ = run(capsys, ["verify", "--num", "1", "--den", "1 - x*t - t^2",
                                 "--pow", "2", "-N", "8", "--oracle", "all"])
-    assert code == 1 and calls == [8, 8]
+    assert code == 1 and calls == [8]
     assert out == (
         "PASS geometric (N=8)\n"
         "FAIL multinomial: first difference at k=3: "
@@ -761,12 +779,15 @@ def test_verify_multiplies_a_series_that_differs_on_its_own(capsys, monkeypatch)
 
 
 def test_multinomial_alone_checks_the_engine_and_folds_no_power(capsys, monkeypatch):
-    # one wrong P_3 fails the multinomial line on its own; neither it nor
-    # the geometric line reads D = B^h, so neither folds it
+    # an engine whose B^-h is one off at k = 2, and so its P = t * B^-h at
+    # k = 3, fails the multinomial line on its own; neither it nor the
+    # geometric line reads D = B^h, so neither folds it
+    real = cli.expand_power
+
     def off_at_3(gf, N):
-        P = list(expand_family(gf, N))
-        P[3] = P[3] + Polynomial.one()
-        return SeriesPrefix(P)
+        G, P = (list(S) for S in real(gf, N))
+        G[2], P[3] = G[2] + Polynomial.one(), P[3] + Polynomial.one()
+        return SeriesPrefix(G), SeriesPrefix(P)
 
     def refuse(*args):
         raise AssertionError("B^h was folded")
@@ -776,7 +797,7 @@ def test_multinomial_alone_checks_the_engine_and_folds_no_power(capsys, monkeypa
         code, out, _ = run(capsys, ["verify", *FIB, "--pow", "2", "-N", "6",
                                     "--oracle", oracle])
         assert (code, out) == (0, f"PASS {oracle} (N=6)\n")
-    monkeypatch.setattr(cli, "expand_family", off_at_3)
+    monkeypatch.setattr(cli, "expand_power", off_at_3)
     code, out, _ = run(capsys, ["verify", *FIB, "--pow", "2", "-N", "6",
                                 "--oracle", "multinomial"])
     assert code == 1 and out.startswith("FAIL multinomial: first difference at k=3")

@@ -293,6 +293,19 @@ def test_equality_with_ints():
     assert x != 1
 
 
+def test_a_polynomial_equals_itself_without_reading_its_terms():
+    # verify compares a stored series with itself once a line has found two
+    # series equal: the comparison returns before any term is read
+    class Unread(dict):
+        def __eq__(self, other):
+            raise AssertionError("the terms were compared")
+
+    p = Polynomial._raw(Unread({0: 1}))
+    assert p == p and not p != p
+    with pytest.raises(AssertionError, match="the terms were compared"):
+        p == Polynomial.one()
+
+
 def test_sorted_terms_graded_lex():
     p = one + x**2 + x * y + y**2 + x
     monos = [m for m, _ in p.items()]
