@@ -193,16 +193,9 @@ def iter_family(gf: RationalGF, N: int) -> Iterator[Polynomial]:
     N = check_order(N)
     if gf.power == 1:
         return derive_recurrence(gf, N).iter_terms(N)
-    return iter_convolve(gf.numerator, _inverse_power(gf, N))
-
-
-def _inverse_power(gf: RationalGF, N: int) -> Iterator[Polynomial]:
-    """G_0..G_N of G = B^-h by Miller's recurrence from B, the series the
-    engine convolves with A for h > 1; the degree bound of A * G is checked
-    at the call."""
     B = gf.denominator
     check_growth(gf.numerator, B[1:], N)
-    return _iter_power(B, -gf.power, N)
+    return iter_convolve(gf.numerator, _iter_power(B, -gf.power, N))
 
 
 def iter_values(gf: RationalGF, point: Mapping[str, int], N: int) -> Iterator[int]:
@@ -270,22 +263,8 @@ def _recurrence_values(
 
 
 def expand_family(gf: RationalGF, N: int) -> SeriesPrefix:
-    """P_0..P_N of the family generated by gf; for h > 1 the P of
-    :func:`expand_power`."""
-    if gf.power > 1:
-        return expand_power(gf, N)[1]
+    """P_0..P_N of the family generated by gf."""
     return SeriesPrefix._unchecked(iter_family(gf, N))
-
-
-def expand_power(gf: RationalGF, N: int) -> tuple[SeriesPrefix, SeriesPrefix]:
-    """(G, P) to order N for h > 1: G = B^-h by Miller's recurrence from B,
-    and P = A * G, the expansion of gf that :func:`iter_family` streams.
-
-    The engine's own pair, so a caller that checks B^-h against an oracle
-    reads P for an oracle series equal to G instead of forming A * G again.
-    """
-    G = SeriesPrefix._unchecked(_inverse_power(gf, check_order(N)))
-    return G, SeriesPrefix._unchecked(iter_convolve(gf.numerator, G.coeffs))
 
 
 def expand_inverse(B: Sequence[Polynomial], N: int) -> SeriesPrefix:
@@ -308,13 +287,12 @@ def tail_product(B: Sequence[Polynomial], Q: SeriesPrefix, N: int) -> list[Polyn
 def inverts(B: Sequence[Polynomial], Q: SeriesPrefix, N: int) -> bool:
     """Whether Q is 1/B to order N.
 
-    E = (B - 1) * Q is formed once: Q_0 = 1 and E_k = -Q_k for 1 <= k <= N
-    say that B * Q = 1 to order N, which with B_0 = 1 has one solution, so
-    Q is 1/B there.  A Q of fewer than N + 1 terms inverts nothing."""
+    B * Q is formed once: Q_0 = 1 and (B * Q)_k = 0 for 1 <= k <= N say
+    that B * Q = 1 to order N, which with B_0 = 1 has one solution, so Q is
+    1/B there.  A Q of fewer than N + 1 terms inverts nothing."""
     if len(Q) <= N or not Q[0].is_one():
         return False
-    E = tail_product(B, Q, N)
-    return all(e == -q for e, q in zip(E[1:], Q.coeffs[1:]))
+    return not any(convolve(B, Q.coeffs, N)[1:])
 
 
 def identity_residual(

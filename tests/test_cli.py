@@ -662,6 +662,29 @@ def test_verify_catches_a_wrong_engine_power(capsys, monkeypatch):
     ))
 
 
+def test_verify_catches_a_wrong_expansion_on_every_line(capsys, monkeypatch):
+    # B^-h is right and only P_3 is off: every oracle series equals B^-h and
+    # reads the one stored A * B^-h, which still differs from the engine at
+    # k = 3, so no line takes the engine for A * B^-h
+    def off_at_3(gf, N):
+        P = list(expand_family(gf, N))
+        P[3] = P[3] + Polynomial.one()
+        return SeriesPrefix(P)
+
+    monkeypatch.setattr(cli, "expand_family", off_at_3)
+    calls = count_products(monkeypatch)
+    code, out, _ = run(capsys, [
+        "verify", *FIB, "--pow", "2", "-N", "10", "--oracle", "all"
+    ])
+    assert (code, calls) == (1, [10])
+    assert out == (
+        "FAIL geometric: first difference at k=3: engine 3*x^2 + 3 vs oracle 3*x^2 + 2\n"
+        "FAIL multinomial: first difference at k=3: engine 3*x^2 + 3 vs oracle 3*x^2 + 2\n"
+        "FAIL convolution: first difference at k=3: engine 3*x^2 + 3 vs oracle 3*x^2 + 2\n"
+        "FAIL residual: first difference at k=3: engine -1 vs oracle 0\n"
+    )
+
+
 def count_products(monkeypatch) -> list:
     """Record each series the CLI's verify multiplies by A."""
     real, calls = cli.convolve_numerator, []
@@ -690,18 +713,16 @@ def count_inverses(monkeypatch) -> list:
 def test_verify_reads_no_stored_series_whose_first_order_is_not_one(
     capsys, monkeypatch, power
 ):
-    # twice B^-h keeps E_k = -Y_k for k >= 1, since (D - 1) * 2Q = 2 - 2Q,
-    # but Y_0 = 2: it does not invert D, so at h = 1, where it is the stored
-    # series, the convolution and residual lines expand Q for themselves and
-    # pass; at h = 2 the stored series is the engine's own B^-h, which
-    # inverts D, so Q is never expanded
+    # twice B^-h keeps (D * Y)_k = 0 for k >= 1, since D * 2Q = 2, but
+    # Y_0 = 2: it does not invert D, so the convolution and residual lines
+    # expand Q for themselves and pass
     real = cli.geometric_inverse
     monkeypatch.setattr(cli, "geometric_inverse", lambda B, N, h=1: SeriesPrefix(
         [p.scale(2) for p in real(B, N, h)]))
     inverses = count_inverses(monkeypatch)
     code, out, _ = run(capsys, ["verify", "--num", "t", "--den", "1 - x*t - t^2",
                                 "-N", "10", "--oracle", "all", *power])
-    assert code == 1 and inverses == ([] if power else [10])
+    assert code == 1 and inverses == [10]
     assert out == (
         "FAIL geometric: first difference at k=1: engine 1 vs oracle 2\n"
         "FAIL multinomial: first difference at k=0: engine 1 vs oracle 2\n"
@@ -709,44 +730,32 @@ def test_verify_reads_no_stored_series_whose_first_order_is_not_one(
     )
 
 
-def test_verify_multiplies_a_into_each_distinct_series_once(capsys, monkeypatch):
+@pytest.mark.parametrize("power", [[], ["--pow", "2"]])
+def test_verify_multiplies_a_into_each_distinct_series_once(capsys, monkeypatch, power):
     # on a PASS the geometric, multinomial and convolution series agree, so
-    # A * B^-h is formed once and read at each line's order
-    calls = count_products(monkeypatch)
-    code, out, _ = run(capsys, ["verify", *FIB, "-N", "20", "--oracle", "all"])
-    assert code == 0 and out.count("PASS") == 4
-    assert calls == [20]
-
-
-@pytest.mark.parametrize("oracle", ["all", "convolution"])
-def test_verify_reads_the_engines_own_inverse_power(capsys, monkeypatch, oracle):
-    # for h > 1 the engine's own (B^-h, P) is the stored pair: on a PASS each
-    # oracle's B^-h equals it, and it inverts D = B^h, so no A * Y is formed
-    # and no Q expanded beyond the engine's product
+    # A * B^-h is formed once and read at each line's order, and the stored
+    # B^-h inverts D = B^h, so Q is never expanded
     calls = count_products(monkeypatch)
     inverses = count_inverses(monkeypatch)
-    code, out, _ = run(capsys, ["verify", *FIB, "--pow", "2", "-N", "10",
-                                "--oracle", oracle])
-    names = ("geometric", "multinomial", "convolution", "residual")
-    assert (code, calls, inverses) == (0, [], [])
-    assert out == "".join(f"PASS {name} (N=10)\n" for name in names
-                          if oracle in (name, "all"))
+    code, out, _ = run(capsys, ["verify", *FIB, "-N", "20", "--oracle", "all", *power])
+    assert code == 0 and out.count("PASS") == 4
+    assert (calls, inverses) == ([20], [])
 
 
 def test_verify_catches_a_wrong_geometric_weight(capsys, monkeypatch):
     # the geometric oracle weights H^k by C(k+h-1, k); one off in the top
     # argument builds B^-(h-1) instead, which fails both checks that read
-    # it, while convolution and residual, which never read it, pass.  Only
-    # the geometric series differs from the engine's own B^-h, the stored
-    # series, so it alone gets a product.
+    # it, while convolution and residual, which never read it, pass.  The
+    # other series then differ from the first one multiplied, so each gets
+    # its own product.
     monkeypatch.setattr(series, "comb", lambda n, k: math.comb(n - 1, k))
     calls = count_products(monkeypatch)
     inverses = count_inverses(monkeypatch)
     code, out, _ = run(capsys, [
         "verify", *FIB, "--pow", "3", "-N", "10", "--oracle", "all"
     ])
-    # the engine's B^-h inverts D = B^h, so Q is never expanded
-    assert code == 1 and calls == [10] and inverses == []
+    # the stored B^-(h-1) does not invert D = B^h, so Q is expanded once
+    assert code == 1 and calls == [10, 10, 10] and inverses == [10]
     assert out == (
         "FAIL geometric: first difference at k=2: engine 3*x vs oracle 2*x\n"
         "FAIL multinomial: first difference at k=1: engine 3*x vs oracle 2*x\n"
@@ -755,9 +764,8 @@ def test_verify_catches_a_wrong_geometric_weight(capsys, monkeypatch):
 
 
 def test_verify_multiplies_a_series_that_differs_on_its_own(capsys, monkeypatch):
-    # a multinomial B^-h off at k = 3 misses the engine's own B^-h, the
-    # stored series, gets the one product and fails its own line there; the
-    # lines around it still pass
+    # a multinomial B^-h off at k = 3 misses the stored product and fails
+    # its own line there; the lines around it still pass
     real = cli.multinomial_inverse
 
     def off_at_3(B, N, h=1):
@@ -769,7 +777,7 @@ def test_verify_multiplies_a_series_that_differs_on_its_own(capsys, monkeypatch)
     calls = count_products(monkeypatch)
     code, out, _ = run(capsys, ["verify", "--num", "1", "--den", "1 - x*t - t^2",
                                 "--pow", "2", "-N", "8", "--oracle", "all"])
-    assert code == 1 and calls == [8]
+    assert code == 1 and calls == [8, 8]
     assert out == (
         "PASS geometric (N=8)\n"
         "FAIL multinomial: first difference at k=3: "
@@ -778,17 +786,36 @@ def test_verify_multiplies_a_series_that_differs_on_its_own(capsys, monkeypatch)
     )
 
 
-def test_multinomial_alone_checks_the_engine_and_folds_no_power(capsys, monkeypatch):
-    # an engine whose B^-h is one off at k = 2, and so its P = t * B^-h at
-    # k = 3, fails the multinomial line on its own; neither it nor the
-    # geometric line reads D = B^h, so neither folds it
-    real = cli.expand_power
-
+def expansion_off_at_3(monkeypatch):
+    """An engine whose B^-h is right and whose P_3 is one off."""
     def off_at_3(gf, N):
-        G, P = (list(S) for S in real(gf, N))
-        G[2], P[3] = G[2] + Polynomial.one(), P[3] + Polynomial.one()
-        return SeriesPrefix(G), SeriesPrefix(P)
+        P = list(expand_family(gf, N))
+        P[3] = P[3] + Polynomial.one()
+        return SeriesPrefix(P)
 
+    monkeypatch.setattr(cli, "expand_family", off_at_3)
+
+
+def inverse_power_off_at_2(monkeypatch):
+    """An engine whose B^-h is one off at k = 2, and so P = t * B^-h at k = 3."""
+    real = recurrence._iter_power
+
+    def off_at_2(B, h, top):
+        D = list(real(B, h, top))
+        if h < 0:
+            D[2] = D[2] + Polynomial.one()
+        return iter(D)
+
+    monkeypatch.setattr(recurrence, "_iter_power", off_at_2)
+
+
+@pytest.mark.parametrize("fault", [expansion_off_at_3, inverse_power_off_at_2])
+def test_multinomial_alone_checks_the_engine_and_folds_no_power(
+    capsys, monkeypatch, fault
+):
+    # a wrong P_3 fails the multinomial line on its own, whether B^-h is
+    # right or not; neither it nor the geometric line reads D = B^h, so
+    # neither folds it
     def refuse(*args):
         raise AssertionError("B^h was folded")
 
@@ -797,7 +824,7 @@ def test_multinomial_alone_checks_the_engine_and_folds_no_power(capsys, monkeypa
         code, out, _ = run(capsys, ["verify", *FIB, "--pow", "2", "-N", "6",
                                     "--oracle", oracle])
         assert (code, out) == (0, f"PASS {oracle} (N=6)\n")
-    monkeypatch.setattr(cli, "expand_power", off_at_3)
+    fault(monkeypatch)
     code, out, _ = run(capsys, ["verify", *FIB, "--pow", "2", "-N", "6",
                                 "--oracle", "multinomial"])
     assert code == 1 and out.startswith("FAIL multinomial: first difference at k=3")
