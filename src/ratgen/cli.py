@@ -208,13 +208,15 @@ def _rows(
 
     With ``at``, each row draws its value from ``values`` once P_k is known
     to mention only names that ``at`` assigns."""
+    assigned = frozenset(at or ())
     for k, p in enumerate(terms):
         poly, value = format_poly(p), None
         if at is not None:
-            try:
-                require_values(p.variables(), at)
-            except MissingVariable as exc:
-                raise RatGenError(f"--at is incomplete at k={k}: {exc}") from exc
+            if not p.variables() <= assigned:
+                try:  # raises MissingVariable, naming what at lacks
+                    require_values(p.variables(), at)
+                except MissingVariable as exc:
+                    raise RatGenError(f"--at is incomplete at k={k}: {exc}") from exc
             number = next(values)
             try:
                 value = str(number)

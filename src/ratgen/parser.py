@@ -225,7 +225,9 @@ def format_poly(p: Polynomial) -> str:
     Terms appear in descending graded-lex order with variables alphabetical,
     '*' is always explicit, '^' only for exponents >= 2, unit coefficients
     are elided except on the constant term, and minus signs are folded into
-    the separators.
+    the separators.  Each term is written once, as one string holding its
+    separator, magnitude and monomial, and the first term's separator is
+    fixed afterwards.
     """
     names, coeffs, columns = p.graded_columns()
     if not coeffs:
@@ -234,18 +236,16 @@ def format_poly(p: Polynomial) -> str:
     monos = reduce(
         partial(map, add), map(_column_texts, names, columns)
     ) if names else [""]  # no names: only the constant term
-    bodies: list[str] = []
-    append = bodies.append
+    # each term's whole text, separator first: " - 3*x^2*y" or " + y"
+    texts: list[str] = []
+    append = texts.append
     try:
-        for magnitude, mono in zip(map(abs, coeffs), monos):
-            if magnitude == 1 and mono:
-                append(mono[1:])
+        for c, mono in zip(coeffs, monos):
+            if c > 0:
+                append(f" + {mono[1:]}" if c == 1 and mono else f" + {c}{mono}")
             else:
-                append(f"{magnitude}{mono}")
+                append(f" - {mono[1:]}" if c == -1 and mono else f" - {-c}{mono}")
     except ValueError:  # past the interpreter's digit limit
         raise TooManyDigits("a coefficient") from None
-    if min(coeffs) > 0:
-        return " + ".join(bodies)
-    signs = [" - " if c < 0 else " + " for c in coeffs]
-    signs[0] = "-" if coeffs[0] < 0 else ""
-    return "".join(map(add, signs, bodies))
+    texts[0] = ("-" if coeffs[0] < 0 else "") + texts[0][3:]
+    return "".join(texts)

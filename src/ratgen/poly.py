@@ -25,9 +25,10 @@ monomial is as wide as the field of its latest-interned variable, so the
 cap also bounds its size.  Reading monomials back goes through one struct
 format per variable set, so the cost per term stays in C however many names
 the table holds.  Every ordered read (formatting, evaluation, ``items``) goes
-through :meth:`Polynomial.graded_columns`, one sort of the terms that returns
-one exponent column per variable.  Every merge of term maps (sums, products,
-:meth:`Polynomial.join`) goes through :func:`add_product_into`.
+through :meth:`Polynomial.graded_columns`, one sort of one flat row per term,
+(degree, exponents.., coefficient), transposed once into one exponent column
+per variable.  Every merge of term maps (sums, products, :meth:`Polynomial.join`)
+goes through :func:`add_product_into`.
 
 The module holds the one power loop, :func:`_miller_power`: J.C.P. Miller's
 recurrence over the nonzero graded parts of a base whose lowest part is one
@@ -60,7 +61,7 @@ from functools import lru_cache, reduce
 from heapq import heappop, heappush
 from itertools import compress, repeat
 from math import prod
-from operator import index, itemgetter, or_
+from operator import add, index, itemgetter, or_
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -192,21 +193,23 @@ def _layout(
     One struct format reads the wanted fields from each monomial's bytes and
     skips the rest, and the reader chains ``map`` calls over the monomials,
     so the cost per monomial stays in C however many names the interning
-    table holds.  Cached, since a run meets few variable sets.
+    table holds.  Names interned in alphabetical order, the usual case, unpack
+    in that order already, and their reader reorders nothing.  Cached, since
+    a run meets few variable sets.
     """
     names = tuple(sorted(variables))
-    slots = sorted(_SHIFTS[name] // _WIDTH for name in names)
+    order = [_SHIFTS[name] // _WIDTH for name in names]
+    slots = sorted(order)
     fmt, at = ["<I"], 1  # "I" is one 4-byte field, as _WIDTH is 32
     for i in slots:
         fmt.append(f"{(i - at) * _BYTES}xI")
         at = i + 1
     unpack, size = struct.Struct("".join(fmt)).unpack, at * _BYTES
-    place = {i: r for r, i in enumerate(slots, 1)}
-    get = itemgetter(0, *[place[_SHIFTS[name] // _WIDTH] for name in names])
+    get = None if order == slots else itemgetter(0, *[slots.index(i) + 1 for i in order])
 
     def read(monomials: Iterable[int]) -> Iterator[tuple[int, ...]]:
         fields = map(unpack, map(int.to_bytes, monomials, repeat(size), repeat("little")))
-        return map(get, fields)
+        return fields if get is None else map(get, fields)
 
     return names, read
 
@@ -373,6 +376,10 @@ class Polynomial:
         lacks it).  Graded-lex order compares total degrees first, then the
         exponents in alphabetical order of the names.  Every ordered read
         of the terms goes through here.
+
+        With two or more names, each term is read once into one flat row,
+        (degree, exponents.., coefficient); the rows are sorted as they are
+        and transposed once.
         """
         terms = self._terms
         variables = self.variables()
@@ -383,10 +390,10 @@ class Polynomial:
             column = [m & _MASK for m in order]
             return tuple(variables), coeffs, (column,) if variables else ()
         names, read = _layout(variables)
-        # distinct monomials never tie, so the pairs compare by key alone
-        keyed = sorted(zip(read(terms), terms.values()), reverse=True)
-        keys, coeffs = zip(*keyed)
-        return names, coeffs, tuple(zip(*keys))[1:]
+        # distinct monomials never tie, so no two rows compare their coefficients
+        rows = sorted(map(add, read(terms), zip(terms.values())), reverse=True)
+        _, *columns, coeffs = zip(*rows)
+        return names, coeffs, tuple(columns)
 
     def split(self, name: str) -> tuple[Polynomial, ...]:
         """C_0..C_d with self = sum_j C_j * name^j; no C_j mentions name.

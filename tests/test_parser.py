@@ -187,6 +187,29 @@ def test_format_matches_the_reference_formatter(terms):
     assert text == reference_format(dict(p.items()))
 
 
+@st.composite
+def signed_term_maps(draw):
+    """Mixed signs, unit coefficients and coefficients of several hundred
+    digits, on usual and scrambled names, with exponents parse_poly reads."""
+    names = draw(st.lists(st.sampled_from(("x", "y", "z") + FORMAT_VARS),
+                          unique=True, max_size=4))
+    magnitude = st.one_of(st.just(1), st.integers(2, 9), st.integers(10**199, 10**600))
+    terms = {}
+    for _ in range(draw(st.integers(0, 10))):
+        mono = tuple(sorted((n, e) for n in names if (e := draw(st.integers(0, 4)))))
+        terms[mono] = draw(st.sampled_from((1, -1))) * draw(magnitude)
+    return terms
+
+
+@settings(max_examples=300, deadline=None)
+@given(signed_term_maps())
+def test_format_matches_the_reference_and_parses_back(terms):
+    p = Polynomial(terms)
+    text = format_poly(p)
+    assert text == reference_format(terms)
+    assert parse_poly(text) == p
+
+
 def test_coefficient_past_the_digit_limit_raises():
     for p in (Polynomial.constant(LARGEST + 1), x - Polynomial.term(-LARGEST - 1, {"x": 2})):
         with pytest.raises(TooManyDigits):

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import polynomials, random_poly, reference_product, reference_sum
 from ratgen import poly
@@ -316,6 +317,35 @@ def test_sorted_terms_graded_lex():
         (("x", 1),),
         (),
     ]
+
+
+# Fresh names, interned here in alphabetical slot order and in reverse, so
+# graded_columns runs both of its reads whatever the tests before it interned.
+GRADED_NAMES = {
+    "alphabetical-slots": ("gca_a", "gca_b", "gca_c", "gca_d"),
+    "reversed-slots": ("gcz_a", "gcz_b", "gcz_c", "gcz_d"),
+}
+for _name in GRADED_NAMES["alphabetical-slots"] + GRADED_NAMES["reversed-slots"][::-1]:
+    Polynomial.variable(_name)
+
+
+@pytest.mark.parametrize("names", GRADED_NAMES.values(), ids=GRADED_NAMES)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_graded_columns_match_a_sorted_reference(names, data):
+    names = names[:data.draw(st.integers(2, 4))]
+    exponent = st.one_of(st.integers(0, 3), st.integers(0, MAX_DEGREE // 4))
+    terms = data.draw(st.dictionaries(
+        st.tuples(*[exponent] * len(names)), st.integers().filter(bool), max_size=12))
+    p = Polynomial({tuple((n, e) for n, e in zip(names, exps) if e): c
+                    for exps, c in terms.items()})
+    # descending (total degree, exponents in alphabetical order of the names)
+    order = sorted(terms, key=lambda exps: (sum(exps), exps), reverse=True)
+    used = [i for i in range(len(names)) if any(exps[i] for exps in terms)]
+    got_names, coeffs, columns = p.graded_columns()
+    assert got_names == tuple(names[i] for i in used)
+    assert list(coeffs) == [terms[exps] for exps in order]
+    assert [list(column) for column in columns] == [[exps[i] for exps in order] for i in used]
 
 
 def test_variable_name_validation():

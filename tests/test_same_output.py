@@ -1,6 +1,7 @@
-"""The record comparison of ``tools/same_output.py``, on hand-made records;
-no process is spawned."""
+"""The corpora and the record comparison of ``tools/same_output.py``, on
+hand-made records; no process is spawned."""
 
+import re
 import sys
 from pathlib import Path
 
@@ -30,3 +31,13 @@ def test_a_command_one_side_lacks_differs_in_the_parents_order_first():
     parent = [record(one), record(two)]
     change = [record(three), record(two, stdout="b")]
     assert same_output.differences(parent, change) == [one, two, three]
+
+
+def test_the_second_child_meets_z_y_x_first_then_reruns_both_pools():
+    first, second = same_output.corpora([1])
+    prelude, *pools = second
+    names = re.findall(r"[A-Za-z]\w*", " ".join(prelude[1:]))
+    assert [name for name in dict.fromkeys(names) if name in ("x", "y", "z")] == ["z", "y", "x"]
+    assert pools == first[:len(pools)]
+    assert {argv[0] for argv in pools} == {"expand", "family"}
+    assert all(argv[0] == "verify" for argv in first[len(pools):])

@@ -2,7 +2,8 @@
 
 A code line is a physical line that holds a token other than a comment,
 a newline or indentation.  The docstrings of the module and of each class
-and function are not code.  Run from anywhere:
+and function are not code, but a line that holds another token beside one,
+as ``def f(): 'doc'`` does, is.  Run from anywhere:
 
     python tools/code_lines.py [MODULE_DIR]
 """
@@ -20,29 +21,40 @@ _LAYOUT = {
     tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
     tokenize.DEDENT, tokenize.ENDMARKER, tokenize.ENCODING,
 }
+Position = tuple[int, int]  # (row, column in characters), as tokenize gives it
 
 
-def docstring_lines(tree: ast.Module) -> set[int]:
-    """The line numbers of every module, class and function docstring."""
-    lines: set[int] = set()
-    for node in ast.walk(tree):
+def docstring_spans(source: str) -> dict[Position, Position]:
+    """The start and end of every module, class and function docstring
+    statement, as tokenize positions: start -> end."""
+    lines = io.StringIO(source).readlines()
+
+    def position(row: int, byte_col: int) -> Position:  # ast counts UTF-8 bytes
+        return row, len(lines[row - 1].encode()[:byte_col].decode())
+
+    spans: dict[Position, Position] = {}
+    for node in ast.walk(ast.parse(source)):
         if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
                              ast.AsyncFunctionDef)):
             body = node.body
             if (body and isinstance(body[0], ast.Expr)
                     and isinstance(body[0].value, ast.Constant)
                     and isinstance(body[0].value.value, str)):
-                lines.update(range(body[0].lineno, body[0].end_lineno + 1))
-    return lines
+                doc = body[0]
+                spans[position(doc.lineno, doc.col_offset)] = position(
+                    doc.end_lineno, doc.end_col_offset)
+    return spans
 
 
 def code_lines(source: str) -> int:
-    skip = docstring_lines(ast.parse(source))
+    spans = docstring_spans(source)
     lines: set[int] = set()
+    until = (0, 0)  # the end of the latest docstring begun
     for tok in tokenize.generate_tokens(io.StringIO(source).readline):
-        if tok.type not in _LAYOUT:
+        until = spans.get(tok.start, until)
+        if tok.type not in _LAYOUT and tok.end > until:
             lines.update(range(tok.start[0], tok.end[0] + 1))
-    return len(lines - skip)
+    return len(lines)
 
 
 def main(argv: list[str]) -> int:

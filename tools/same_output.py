@@ -1,16 +1,19 @@
 """Check that two trees print the same CLI output on the benchmark's commands.
 
-For each tree, one child process with ``PYTHONDONTWRITEBYTECODE=1`` imports
-that tree's ``ratgen.cli`` and runs every command of the corpus through its
-``main``, one after another, printing one JSON line per command: its argv,
-exit code and the SHA-256 of its stdout and of its stderr.  The tool then
-prints the argv of each command whose records differ between the trees and
-a count, and exits 1 if any differ, 0 otherwise.
+For each tree, two child processes with ``PYTHONDONTWRITEBYTECODE=1`` import
+that tree's ``ratgen.cli`` and each runs its corpus through ``main``, one
+command after another, printing one JSON line per command: its argv, exit
+code and the SHA-256 of its stdout and of its stderr.  The tool then prints
+the argv of each command whose records differ between the trees and a
+count, and exits 1 if any differ, 0 otherwise.
 
-The corpus is every job of ``catalog_pool()`` and ``power_pool()`` in
+The first corpus is every job of ``catalog_pool()`` and ``power_pool()`` in
 ``bench/workloads.py``, and the random_verify jobs of each seed, each with
 ``--oracle all`` and with each single oracle, at -N 24 and at -N 7.  The
-script only reads ``bench/``.  Run from anywhere:
+second is ``PRELUDE``, which names z, y and x in that order, then the two
+pools again: a process interns names in the order it first meets them, so
+there the pools' x, y, z take the read that reorders a monomial's fields.
+The script only reads ``bench/``.  Run from anywhere:
 
     python tools/same_output.py --parent DIR --change DIR [--seeds 1-3]
 """
@@ -29,6 +32,7 @@ from bench_pairs import seed_list
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 ORACLES = ("all", "geometric", "multinomial", "convolution", "residual")
 ORDERS = ("24", "7")
+PRELUDE = ["expand", "--num", "z*y - x*t", "--den", "1 - y*t - x*z*t^2", "-N", "8"]
 # run in each tree's interpreter: commands arrive on stdin, one JSON argv a line
 CHILD = """
 import hashlib, io, json, sys
@@ -49,11 +53,12 @@ for line in sys.stdin:
 """
 
 
-def corpus(seeds: list[int]) -> list[list[str]]:
-    """The command lines both trees run, in order."""
+def corpora(seeds: list[int]) -> list[list[list[str]]]:
+    """The command lines both trees run, one list per child process, in order."""
     sys.path.insert(0, str(BENCH))
     import workloads
-    commands = [list(job.argv) for job in workloads.catalog_pool() + workloads.power_pool()]
+    pools = [list(job.argv) for job in workloads.catalog_pool() + workloads.power_pool()]
+    commands = list(pools)
     for seed in seeds:
         for job in workloads.random_verify(seed):
             argv = list(job.argv)
@@ -62,7 +67,7 @@ def corpus(seeds: list[int]) -> list[list[str]]:
                 for oracle in ORACLES:
                     argv[argv.index("--oracle") + 1] = oracle
                     commands.append(list(argv))
-    return commands
+    return [commands, [PRELUDE, *pools]]
 
 
 def records(tree: Path, commands: list[list[str]]) -> list[dict]:
@@ -89,12 +94,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--change", type=Path, required=True)
     parser.add_argument("--seeds", type=seed_list, default=seed_list("1-3"))
     args = parser.parse_args(argv)
-    commands = corpus(args.seeds)
-    differ = differences(*(records(tree.resolve(), commands)
-                           for tree in (args.parent, args.change)))
+    runs = corpora(args.seeds)
+    differ = [command for commands in runs for command in differences(
+        *(records(tree.resolve(), commands) for tree in (args.parent, args.change)))]
     for command in differ:
         print("differs:", json.dumps(command))
-    print(f"{len(commands)} commands, {len(differ)} differ")
+    print(f"{sum(map(len, runs))} commands, {len(differ)} differ")
     return 1 if differ else 0
 
 
