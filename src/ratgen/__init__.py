@@ -34,8 +34,10 @@ from .families import audit, instantiate, list_families
 from .parser import format_poly, join_in_t, parse_poly, split_in_t
 from .poly import Polynomial
 from .recurrence import (
+    ORACLES,
     RationalGF,
     Recurrence,
+    Verdict,
     convolve_numerator,
     derive_recurrence,
     expand_family,
@@ -45,6 +47,7 @@ from .recurrence import (
     iter_values,
     raise_denominator,
     render_recurrence,
+    verify,
 )
 from .series import SeriesPrefix, cauchy_mul, geometric_inverse, multinomial_inverse
 
@@ -66,6 +69,7 @@ __all__ = [
     "NonIntegerValue",
     "NotAPolynomial",
     "NotAnExpression",
+    "ORACLES",
     "OrderMismatch",
     "ParseError",
     "Polynomial",
@@ -77,6 +81,7 @@ __all__ = [
     "TooManyDigits",
     "TooManyVariables",
     "UnknownFamily",
+    "Verdict",
     "audit",
     "cauchy_mul",
     "convolve_numerator",
@@ -96,4 +101,5 @@ __all__ = [
     "raise_denominator",
     "render_recurrence",
     "split_in_t",
+    "verify",
 ]

@@ -26,17 +26,13 @@ from .errors import InvalidVariable, MissingVariable, RatGenError, TooManyDigits
 from .parser import format_poly, parse_poly, split_in_t
 from .poly import Polynomial, require_values, validate_variable_name
 from .recurrence import (
+    ORACLES,
     RationalGF,
-    convolve_numerator,
-    expand_family,
-    expand_inverse,
-    identity_residual,
-    inverts,
     iter_family,
     iter_values,
     render_recurrence,
+    verify,
 )
-from .series import SeriesPrefix, geometric_inverse, multinomial_inverse
 
 MULTINOMIAL_ORDER_CAP = 12
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, the status of a writer killed by a closed pipe
@@ -293,101 +289,21 @@ def _cmd_recurrence(args: argparse.Namespace) -> Output:
     return 0, [render_recurrence(gf), f"\norder: {order}\nforcing cutoff: {gf.m}\n"]
 
 
-def _first_difference(a: SeriesPrefix, b: SeriesPrefix) -> int | None:
-    if a.coeffs == b.coeffs:  # one pass in C, by identity where verify shares terms
-        return None
-    for k in range(a.order + 1):
-        if a[k] != b[k]:
-            return k
-    return None
-
-
-def _report(
-    name: str, engine: SeriesPrefix, oracle: SeriesPrefix, note: str
-) -> tuple[bool, str]:
-    """Whether one oracle agrees with the engine, and its PASS or FAIL line."""
-    k = _first_difference(engine, oracle)
-    if k is None:
-        return True, f"PASS {name} ({note})\n"
-    return False, (f"FAIL {name}: first difference at k={k}: "
-                   f"engine {format_poly(engine[k])} vs oracle {format_poly(oracle[k])}\n")
-
-
 def _cmd_verify(args: argparse.Namespace) -> Output:
-    gf = _gf_from_args(args)
-    N = args.N
-    selected = args.oracle
-    # the engine expands from B itself by Miller's recurrence; the power
-    # oracles build B^-h from B and h, and the convolution and residual ones
-    # read D = B^h, folded once and only to order N
-    B, h = gf.denominator, gf.power
-    engine = expand_family(gf, N)
-    first = None  # (Y, A * Y) for the first series Y multiplied by A
-
-    def times_A(X: SeriesPrefix) -> tuple[SeriesPrefix, SeriesPrefix]:
-        """X and A * X: where X is a prefix of the stored Y, as every
-        oracle's B^-h is on a PASS, Y's prefix and the stored A * Y cut to
-        X's order, so each later comparison is by identity; otherwise X and
-        a new product."""
-        nonlocal first
-        if first and X.coeffs == first[0].coeffs[:len(X)]:
-            return first[0].truncate(X.order), first[1].truncate(X.order)
-        product = convolve_numerator(gf.numerator, X)
-        first = first or (X, product)
-        return X, product
-
-    def check_engine(
-        name: str, X: SeriesPrefix, note: str
-    ) -> tuple[tuple[bool, str], SeriesPrefix]:
-        """The line that compares the engine with A * X to X's order, and
-        times_A's X; an engine found equal to A * X to order N becomes it."""
-        nonlocal engine
-        X, product = times_A(X)
-        report = _report(name, engine.truncate(X.order), product, note)
-        if report[0] and X.order == N:
-            engine = product
-        return report, X
-
-    reports = []
-    if selected in ("geometric", "all"):
-        report, geometric = check_engine("geometric", geometric_inverse(B, N, h), f"N={N}")
-        reports.append(report)
-    if selected in ("multinomial", "all"):
-        n_m = N
-        note = f"N={N}"
-        if N > MULTINOMIAL_ORDER_CAP and not args.force:
-            if selected == "multinomial":
-                raise RatGenError(
-                    f"multinomial oracle is exponential; refusing N={N} > "
-                    f"{MULTINOMIAL_ORDER_CAP} (pass --force to override)"
-                )
-            n_m = MULTINOMIAL_ORDER_CAP
-            note = f"capped at N={n_m}"
-        # the engine against A * B^-h, then the two oracles against each
-        # other: the line fails if either differs
-        report, lhs = check_engine("multinomial", multinomial_inverse(B, n_m, h), note)
-        if report[0]:
-            rhs = (geometric_inverse(B, n_m, h) if selected == "multinomial"
-                   else geometric.truncate(n_m))
-            report = _report("multinomial", lhs, rhs, note)
-        reports.append(report)
-    if selected in ("convolution", "residual", "all"):
-        reduced = RationalGF(gf.numerator, gf.reduced_denominator(N))
-        D = reduced.denominator
-        # Q = 1/D for both lines below: on a PASS the stored B^-h, checked
-        # once by D * Y = 1 to order N and read with its A * Y, and otherwise
-        # expanded here, the residual line then forming the whole identity
-        if first and inverts(D, first[0], N):
-            inverse, product = first
-        else:
-            inverse, product = expand_inverse(D, N), None
-    if selected in ("convolution", "all"):
-        reports.append(check_engine("convolution", inverse, f"N={N}")[0])
-    if selected in ("residual", "all"):
-        residual = identity_residual(reduced, N, engine, inverse, product)
-        zero = SeriesPrefix.from_polynomials((), N)
-        reports.append(_report("residual", residual, zero, f"N={N}"))
-    return (0 if all(ok for ok, _ in reports) else 1), [line for _, line in reports]
+    """Each verdict of :func:`~ratgen.recurrence.verify` as a PASS or FAIL line."""
+    gf, N = _gf_from_args(args), args.N
+    selected = ORACLES if args.oracle == "all" else (args.oracle,)
+    capped = "multinomial" in selected and N > MULTINOMIAL_ORDER_CAP and not args.force
+    if capped and args.oracle == "multinomial":
+        iter_family(gf, N)  # an order or degree the engine refuses is reported first
+        raise RatGenError(f"multinomial oracle is exponential; refusing N={N} > "
+                          f"{MULTINOMIAL_ORDER_CAP} (pass --force to override)")
+    verdicts = verify(gf, N, selected, MULTINOMIAL_ORDER_CAP if capped else None)
+    return (0 if all(v.k is None for v in verdicts) else 1), [
+        f"PASS {v.name} ({'N' if v.order == N else 'capped at N'}={v.order})\n"
+        if v.k is None else f"FAIL {v.name}: first difference at k={v.k}: "
+        f"engine {format_poly(v.engine)} vs oracle {format_poly(v.oracle)}\n"
+        for v in verdicts]
 
 
 def _cmd_family_list(args: argparse.Namespace) -> Output:

@@ -88,7 +88,8 @@ class UnknownFamily(RatGenError):
 
 
 class BadParameter(RatGenError):
-    """A family parameter is missing, of the wrong type, or out of range."""
+    """A family parameter is missing, of the wrong type, or out of range,
+    or an oracle name that ``verify`` does not know."""
 
 
 class ParseError(RatGenError):

@@ -19,7 +19,9 @@ same recursions, run on the plain integers a = A(point) and b = B(point),
 yield the values P_0(point)..P_N(point) without building any P_k.  The
 module also computes the companion identities used for cross-checking: the
 inverse sequence Q of 1/B, the numerator convolution that rebuilds P from
-Q, and the residual that must vanish identically.
+Q, and the residual that must vanish identically.  :func:`verify` checks
+the expansion against them and against the power oracles of
+:mod:`ratgen.series`, and returns one :class:`Verdict` per oracle.
 """
 
 from __future__ import annotations
@@ -29,9 +31,9 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import chain, repeat
 from operator import mul
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
-from .errors import EmptySeries, PowerNotOne
+from .errors import BadParameter, EmptySeries, PowerNotOne
 from .poly import Polynomial, RawTerms, _miller_power, add_product_into, require_values
 from .series import (
     SeriesPrefix,
@@ -41,7 +43,9 @@ from .series import (
     check_power,
     check_t_free,
     convolve,
+    geometric_inverse,
     iter_convolve,
+    multinomial_inverse,
     trimmed,
 )
 
@@ -300,7 +304,6 @@ def identity_residual(
     N: int,
     P: SeriesPrefix | None = None,
     Q: SeriesPrefix | None = None,
-    AQ: SeriesPrefix | None = None,
 ) -> SeriesPrefix:
     """Left-minus-right of the double-sum identity; every entry must be 0.
 
@@ -310,9 +313,7 @@ def identity_residual(
     sum_{j>=1} sum_l B_j A_l Q_{k-j-l} is order k of A * E with
     E = (B - 1) * Q (:func:`tail_product`), so order k of the identity's
     left side is R_k = [k <= m] A_k - (A * E)_k, and its entry is 0 where
-    R_k equals P_k and R_k - P_k otherwise.  AQ, when given, is A * Q for a
-    Q that :func:`inverts` B: then E = 1 - Q and R = A - A * E = A * Q, so
-    AQ is read as R and no product is formed.  Returns the residual series
+    R_k equals P_k and R_k - P_k otherwise.  Returns the residual series
     rather than a boolean so a failure shows exactly which order and which
     polynomial disagree.
     """
@@ -321,19 +322,112 @@ def identity_residual(
             "identity requires power 1; reduce the denominator first"
         )
     N = check_order(N)
-    A = gf.numerator
-    B = gf.denominator
-    if P is None:
-        P = expand_family(gf, N)
-    R = AQ
-    if R is None:
-        if Q is None:
-            Q = expand_inverse(B, N)
-        AE = convolve(A, tail_product(B, Q, N), N)
-        R = [a - ae for a, ae in zip(SeriesPrefix.from_polynomials(A, N), AE)]
-    return SeriesPrefix._unchecked(
-        _ZERO if R[k] == P[k] else R[k] - P[k] for k in range(N + 1)
-    )
+    A, B = gf.numerator, gf.denominator
+    P = expand_family(gf, N) if P is None else P
+    Q = expand_inverse(B, N) if Q is None else Q
+    AE = convolve(A, tail_product(B, Q, N), N)
+    return _less([a - ae for a, ae in zip(SeriesPrefix.from_polynomials(A, N), AE)], P)
+
+
+def _less(R: Sequence[Polynomial], P: SeriesPrefix) -> SeriesPrefix:
+    """R - P to R's order, with 0 where the two agree: the residual of R."""
+    pairs = zip(R, P.coeffs[: len(R)], strict=True)
+    return SeriesPrefix._unchecked(_ZERO if r == p else r - p for r, p in pairs)
+
+
+ORACLES = ("geometric", "multinomial", "convolution", "residual")
+
+
+class Verdict(NamedTuple):
+    """One oracle's check of the engine, as :func:`verify` returns it.
+
+    ``order`` is the order checked to.  On a failure ``k`` is the first
+    order that differs, and ``engine`` and ``oracle`` are the two
+    polynomials there; on a pass all three are None.  The residual
+    oracle's engine polynomial is its nonzero entry, and its oracle one 0.
+    """
+
+    name: str
+    order: int
+    k: int | None = None
+    engine: Polynomial | None = None
+    oracle: Polynomial | None = None
+
+
+def _verdict(name: str, engine: SeriesPrefix, oracle: SeriesPrefix) -> Verdict:
+    """The verdict on two series of one order: the first k where they differ."""
+    if engine.coeffs != oracle.coeffs:  # one pass in C; shared terms compare by identity
+        for k, (p, q) in enumerate(zip(engine, oracle)):
+            if p != q:
+                return Verdict(name, oracle.order, k, p, q)
+    return Verdict(name, oracle.order)
+
+
+def verify(gf: RationalGF, N: int, oracles: Sequence[str] = ORACLES,
+           multinomial_order: int | None = None) -> list[Verdict]:
+    """Check P_0..P_N of gf against each named oracle; one verdict per
+    oracle, in :data:`ORACLES` order.
+
+    The engine expands A/B^h from B itself; the power oracles build B^-h
+    from B and h (:func:`~ratgen.series.geometric_inverse` and
+    :func:`~ratgen.series.multinomial_inverse`, the latter to
+    ``multinomial_order``, N when None, at most N), and the convolution and
+    residual ones read D = B^h, folded once and only to order N.  Each of
+    the first three compares the engine with A times its own series; the
+    multinomial one then compares its B^-h with the geometric one, and
+    fails if either differs.  The engine is expanded once, and A is
+    multiplied once into the first series Y: a later series that is a
+    prefix of Y, as every oracle's B^-h is on a pass, reads Y's prefix and
+    the stored A * Y cut to its order, and an engine found equal to A * Y
+    to order N becomes that object, so each later comparison is by
+    identity.  Y is read as 1/D only if :func:`inverts` says so; then the
+    residual is A * Y - P, and otherwise 1/D is expanded and the residual
+    is :func:`identity_residual`'s.  An unknown oracle name raises
+    BadParameter, and a negative order NegativeOrder, before any expansion.
+    """
+    selected = set(oracles)
+    if unknown := selected.difference(ORACLES):
+        raise BadParameter(f"unknown oracle {min(unknown)!r}; expected one of {ORACLES}")
+    N = check_order(N)
+    n_m = N if multinomial_order is None else min(check_order(multinomial_order), N)
+    A, B, h = gf.numerator, gf.denominator, gf.power
+    engine = expand_family(gf, N)
+    first, verdicts = None, []  # first: (Y, A * Y) for the first series Y multiplied by A
+
+    def check_engine(name: str, X: SeriesPrefix) -> SeriesPrefix:
+        """Append the verdict on the engine against A * X to X's order, and
+        return X, or Y's prefix in its place where X is one."""
+        nonlocal engine, first
+        if first and X.coeffs == first[0].coeffs[: len(X)]:
+            X, product = first[0].truncate(X.order), first[1].truncate(X.order)
+        else:
+            product = convolve_numerator(A, X)
+            first = first or (X, product)
+        verdicts.append(_verdict(name, engine.truncate(X.order), product))
+        if verdicts[-1].k is None and X.order == N:
+            engine = product
+        return X
+
+    if "geometric" in selected:
+        geometric = check_engine("geometric", geometric_inverse(B, N, h))
+    if "multinomial" in selected:
+        lhs = check_engine("multinomial", multinomial_inverse(B, n_m, h))
+        if verdicts[-1].k is None:
+            rhs = (geometric.truncate(n_m) if "geometric" in selected
+                   else geometric_inverse(B, n_m, h))
+            verdicts[-1] = _verdict("multinomial", lhs, rhs)
+    if selected & {"convolution", "residual"}:
+        reduced = RationalGF(A, gf.reduced_denominator(N))
+        inverse, product = (first if first and inverts(reduced.denominator, first[0], N)
+                            else (expand_inverse(reduced.denominator, N), None))
+        if "convolution" in selected:
+            check_engine("convolution", inverse)
+        if "residual" in selected:
+            residual = (identity_residual(reduced, N, engine, inverse) if product is None
+                        else _less(product, engine))
+            zero = SeriesPrefix.from_polynomials((), N)
+            verdicts.append(_verdict("residual", residual, zero))
+    return verdicts
 
 
 def derive_recurrence(gf: RationalGF, N: int | None = None) -> Recurrence:

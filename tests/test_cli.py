@@ -55,15 +55,15 @@ def run(capsys, argv):
 
 
 def corrupt_expansion_at(monkeypatch, index: int) -> None:
-    """Make the CLI's engine expansion wrong by +1 at one order."""
-    real = cli.expand_family
+    """Make verify's engine expansion wrong by +1 at one order."""
+    real = recurrence.expand_family
 
     def corrupted(gf, N):
         coeffs = list(real(gf, N).coeffs)
         coeffs[index] = coeffs[index] + Polynomial.one()
         return SeriesPrefix(coeffs)
 
-    monkeypatch.setattr(cli, "expand_family", corrupted)
+    monkeypatch.setattr(recurrence, "expand_family", corrupted)
 
 
 def check_json(out: str) -> dict:
@@ -497,11 +497,13 @@ def test_family_audit_that_fails_midway_prints_no_report(capsys):
 
 def test_verify_that_fails_at_its_last_oracle_prints_no_report(capsys, monkeypatch):
     # the geometric, multinomial and convolution oracles pass before the
-    # residual one fails: their PASS lines are built, never written
+    # residual one fails: their PASS lines are built, never written.  The
+    # stored B^-h is refused as 1/D, so the residual line forms the identity
     def fail(*args):
         raise RatGenError("the residual failed")
 
-    monkeypatch.setattr(cli, "identity_residual", fail)
+    monkeypatch.setattr(recurrence, "inverts", lambda D, Q, N: False)
+    monkeypatch.setattr(recurrence, "identity_residual", fail)
     code, out, err = run(capsys, ["verify", "--num", "t", "--den", "1-x*t-t^2",
                                   "-N", "6", "--oracle", "all"])
     assert (code, out, err) == (2, "", "error: the residual failed\n")
@@ -600,7 +602,6 @@ def test_verify_expands_p_and_q_once(capsys, monkeypatch):
         return real(gf, N)
 
     monkeypatch.setattr(recurrence, "expand_family", counted)
-    monkeypatch.setattr(cli, "expand_family", counted)
     code, out, _ = run(capsys, ["verify", *FIB, "-N", "8", "--oracle", "all"])
     assert code == 0 and out.count("PASS") == 4
     # the engine's P; the geometric B^-h is checked to invert D and read as
@@ -671,7 +672,7 @@ def test_verify_catches_a_wrong_expansion_on_every_line(capsys, monkeypatch):
         P[3] = P[3] + Polynomial.one()
         return SeriesPrefix(P)
 
-    monkeypatch.setattr(cli, "expand_family", off_at_3)
+    monkeypatch.setattr(recurrence, "expand_family", off_at_3)
     calls = count_products(monkeypatch)
     code, out, _ = run(capsys, [
         "verify", *FIB, "--pow", "2", "-N", "10", "--oracle", "all"
@@ -686,26 +687,26 @@ def test_verify_catches_a_wrong_expansion_on_every_line(capsys, monkeypatch):
 
 
 def count_products(monkeypatch) -> list:
-    """Record each series the CLI's verify multiplies by A."""
-    real, calls = cli.convolve_numerator, []
+    """Record each series verify multiplies by A."""
+    real, calls = recurrence.convolve_numerator, []
 
     def counted(A, Q):
         calls.append(Q.order)
         return real(A, Q)
 
-    monkeypatch.setattr(cli, "convolve_numerator", counted)
+    monkeypatch.setattr(recurrence, "convolve_numerator", counted)
     return calls
 
 
 def count_inverses(monkeypatch) -> list:
-    """Record the order of each Q = 1/D the CLI's verify expands."""
-    real, calls = cli.expand_inverse, []
+    """Record the order of each Q = 1/D verify expands."""
+    real, calls = recurrence.expand_inverse, []
 
     def counted(D, N):
         calls.append(N)
         return real(D, N)
 
-    monkeypatch.setattr(cli, "expand_inverse", counted)
+    monkeypatch.setattr(recurrence, "expand_inverse", counted)
     return calls
 
 
@@ -716,8 +717,8 @@ def test_verify_reads_no_stored_series_whose_first_order_is_not_one(
     # twice B^-h keeps (D * Y)_k = 0 for k >= 1, since D * 2Q = 2, but
     # Y_0 = 2: it does not invert D, so the convolution and residual lines
     # expand Q for themselves and pass
-    real = cli.geometric_inverse
-    monkeypatch.setattr(cli, "geometric_inverse", lambda B, N, h=1: SeriesPrefix(
+    real = recurrence.geometric_inverse
+    monkeypatch.setattr(recurrence, "geometric_inverse", lambda B, N, h=1: SeriesPrefix(
         [p.scale(2) for p in real(B, N, h)]))
     inverses = count_inverses(monkeypatch)
     code, out, _ = run(capsys, ["verify", "--num", "t", "--den", "1 - x*t - t^2",
@@ -766,14 +767,14 @@ def test_verify_catches_a_wrong_geometric_weight(capsys, monkeypatch):
 def test_verify_multiplies_a_series_that_differs_on_its_own(capsys, monkeypatch):
     # a multinomial B^-h off at k = 3 misses the stored product and fails
     # its own line there; the lines around it still pass
-    real = cli.multinomial_inverse
+    real = recurrence.multinomial_inverse
 
     def off_at_3(B, N, h=1):
         coeffs = list(real(B, N, h))
         coeffs[3] = coeffs[3] + Polynomial.one()
         return SeriesPrefix(coeffs)
 
-    monkeypatch.setattr(cli, "multinomial_inverse", off_at_3)
+    monkeypatch.setattr(recurrence, "multinomial_inverse", off_at_3)
     calls = count_products(monkeypatch)
     code, out, _ = run(capsys, ["verify", "--num", "1", "--den", "1 - x*t - t^2",
                                 "--pow", "2", "-N", "8", "--oracle", "all"])
@@ -793,7 +794,7 @@ def expansion_off_at_3(monkeypatch):
         P[3] = P[3] + Polynomial.one()
         return SeriesPrefix(P)
 
-    monkeypatch.setattr(cli, "expand_family", off_at_3)
+    monkeypatch.setattr(recurrence, "expand_family", off_at_3)
 
 
 def inverse_power_off_at_2(monkeypatch):
@@ -866,6 +867,24 @@ def test_degree_past_the_bound_exits_2(capsys, argv):
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "exceeds the bound 4294967295" in err
+
+
+def test_a_refused_multinomial_reports_the_engines_errors_first(capsys, monkeypatch):
+    # the engine's order and degree checks run at the call, before the
+    # refusal; the refusal itself expands nothing
+    argv = ["verify", "--num", "1", "--den", f"1 - {HALF}*t", "-N", "13",
+            "--oracle", "multinomial"]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "") and "exceeds the bound 4294967295" in err
+
+    def refuse(*args):
+        raise AssertionError("expanded")
+
+    monkeypatch.setattr(recurrence, "expand_family", refuse)
+    code, out, err = run(capsys, ["verify", *FIB, "-N", "100000", "--oracle", "multinomial"])
+    assert (code, out) == (2, "") and err == (
+        "error: multinomial oracle is exponential; refusing N=100000 > 12 "
+        "(pass --force to override)\n")
 
 
 def test_degree_up_to_the_bound_is_exact(capsys):
@@ -946,13 +965,13 @@ def test_repeated_main_calls_share_one_parser_and_no_state(capsys):
 
 def test_verify_all_builds_the_geometric_inverse_once(capsys, monkeypatch):
     orders = []
-    real = cli.geometric_inverse
+    real = recurrence.geometric_inverse
 
     def counted(B, N, h):
         orders.append(N)
         return real(B, N, h)
 
-    monkeypatch.setattr(cli, "geometric_inverse", counted)
+    monkeypatch.setattr(recurrence, "geometric_inverse", counted)
     code, out, _ = run(capsys, ["verify", *FIB, "-N", "20", "--oracle", "all"])
     assert code == 0 and out.count("PASS") == 4 and "capped at N=12" in out
     assert orders == [20]

@@ -1,7 +1,8 @@
 """Module boundaries: only ratgen.poly knows how a monomial is stored, only
-ratgen.recurrence runs the expansion loops, Miller's power kernel is named
-only in ratgen.poly, its home, and by the engine, and the power oracles of
-ratgen.series name none of the engine's kernels and use no ``**``."""
+ratgen.recurrence runs the expansion loops and the verify sequence, Miller's
+power kernel is named only in ratgen.poly, its home, and by the engine, and
+the power oracles of ratgen.series name none of the engine's kernels and use
+no ``**``."""
 
 import ast
 import inspect
@@ -78,6 +79,25 @@ def test_the_power_oracles_name_no_engine_kernel():
     refused = ENGINE_KERNELS | {"**"}
     assert {name: sorted(names & refused) for name, names in seen.items()
             if names & refused} == {}
+
+
+# the series verify forms and the checks it runs on them: verify's policy
+# lives in ratgen.recurrence, and the CLI only renders its verdicts
+VERIFY_STEPS = {
+    "expand_family", "geometric_inverse", "multinomial_inverse", "convolve_numerator",
+    "expand_inverse", "inverts", "identity_residual",
+}
+
+
+def test_the_cli_names_none_of_the_verify_steps():
+    tree = ast.parse((SRC / "cli.py").read_text())
+    named = {
+        node.id if isinstance(node, ast.Name) else
+        node.attr if isinstance(node, ast.Attribute) else node.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
+    }
+    assert "verify" in named and sorted(named & VERIFY_STEPS) == []
 
 
 # a prefix that skips the t check, or a polynomial handed its variable set,

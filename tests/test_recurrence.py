@@ -5,9 +5,10 @@ import random
 import pytest
 
 from helpers import COEFF_VARS, random_gf, random_poly, reference_product
-from ratgen import families, poly, recurrence, series
+from ratgen import ORACLES, Verdict, families, poly, recurrence, series, verify
 from ratgen.errors import (
     BadConstantTerm,
+    BadParameter,
     BadPower,
     DegreeTooLarge,
     EmptySeries,
@@ -620,29 +621,31 @@ def corrupt(series: SeriesPrefix, k: int, delta: Polynomial) -> SeriesPrefix:
     return SeriesPrefix(series[:k] + (series[k] + delta,) + series[k + 1:])
 
 
+def folded_gfs(h: int, N: int, count: int = 8):
+    """(rng, A / B^h, A / D) for ``count`` seeded GFs, with D = B^h folded to
+    order N as verify reads it; the caller may draw from rng between them."""
+    rng = random.Random(20261019 + h)
+    while count:
+        names = COEFF_VARS[: rng.randint(1, 3)]
+        A = [random_poly(rng, names) for _ in range(rng.randint(1, 3))]
+        B = [one] + [random_poly(rng, names) for _ in range(rng.randint(1, 3))]
+        gf = RationalGF(A, B, h)
+        reduced = RationalGF(A, gf.reduced_denominator(N))
+        if not any(reduced.numerator) or reduced.n == 0:
+            continue
+        yield rng, gf, reduced
+        count -= 1
+
+
 @pytest.mark.parametrize("h", [1, 2])
 def test_identity_residual_equals_a_reference_built_with_ring_operations(h):
     # A / B^h with the power folded into D = B^h, as verify checks it; P is
     # corrupted at one order, then Q, and every residual polynomial is pinned
-    rng = random.Random(20261019 + h)
     N = 8
-    checked = 0
-    while checked < 8:
-        names = COEFF_VARS[: rng.randint(1, 3)]
-        A = [random_poly(rng, names) for _ in range(rng.randint(1, 3))]
-        B = [one] + [random_poly(rng, names) for _ in range(rng.randint(1, 3))]
-        gf = RationalGF(A, RationalGF(A, B, h).reduced_denominator(N))
-        if not any(gf.numerator) or gf.n == 0:
-            continue
+    for rng, _, gf in folded_gfs(h, N):
         P, Q = expand_family(gf, N), expand_inverse(gf.denominator, N)
-        AQ = convolve_numerator(gf.numerator, Q)
-
-        def residuals(P):
-            # Q inverts D: the identity formed here, then read from A * Q
-            return [list(identity_residual(gf, N, P, Q, *given)) for given in ((), (AQ,))]
-
         assert inverts(gf.denominator, Q, N)
-        assert residuals(P) == [[zero] * (N + 1)] * 2
+        assert list(identity_residual(gf, N, P, Q)) == [zero] * (N + 1)
         # A * (D - 1) starts at order low <= 5, so a change of Q_k shows from k + low
         low = (next(l for l, a in enumerate(gf.numerator) if a)
                + next(j for j, d in enumerate(gf.denominator) if j and d))
@@ -651,14 +654,90 @@ def test_identity_residual_equals_a_reference_built_with_ring_operations(h):
         bad_P, bad_Q = corrupt(P, k, delta), corrupt(Q, k, delta)
         expected = reference_residual(gf, N, bad_P, Q)
         assert expected == [zero] * k + [-delta] + [zero] * (N - k)
-        assert residuals(bad_P) == [expected] * 2
+        assert list(identity_residual(gf, N, bad_P, Q)) == expected
         # bad_Q inverts nothing, so only the whole identity reads it
         assert not inverts(gf.denominator, bad_Q, N)
         expected = reference_residual(gf, N, P, bad_Q)
         assert expected[: k + low] == [zero] * (k + low)
         assert expected[k + low]
         assert list(identity_residual(gf, N, P, bad_Q)) == expected
-        checked += 1
+
+
+def residual_verdict(residual: SeriesPrefix) -> Verdict:
+    """The residual line's verdict: the first nonzero entry against 0."""
+    k = next((k for k, r in enumerate(residual) if r), None)
+    if k is None:
+        return Verdict("residual", residual.order)
+    return Verdict("residual", residual.order, k, residual[k], zero)
+
+
+@pytest.mark.parametrize("h", [1, 2])
+def test_verify_reads_the_residual_from_its_stored_product(h, monkeypatch):
+    # the geometric B^-h inverts D, so verify's residual is A * B^-h - P, read
+    # from the product it stored; identity_residual forms E and A * E itself
+    # for the same P and Q = 1/D.  Both give one verdict, for the right P and
+    # for a P one off at a single order.
+    N = 8
+
+    def refuse(*args):
+        raise AssertionError("the residual was formed again")
+
+    for rng, gf, reduced in folded_gfs(h, N):
+        P, Q = expand_family(gf, N), expand_inverse(reduced.denominator, N)
+        k = rng.randint(0, N)
+        delta = Polynomial.term(rng.randint(1, 5), {"x": rng.randint(0, 2)})
+        for engine in (P, corrupt(P, k, delta)):
+            expected = residual_verdict(identity_residual(reduced, N, engine, Q))
+            assert expected == (Verdict("residual", N) if engine is P
+                                else Verdict("residual", N, k, -delta, zero))
+            with monkeypatch.context() as patch:
+                patch.setattr(recurrence, "expand_family", lambda gf, N: engine)
+                patch.setattr(recurrence, "expand_inverse", refuse)
+                patch.setattr(recurrence, "identity_residual", refuse)
+                assert verify(gf, N)[-1] == expected
+
+
+def test_verify_gives_one_verdict_per_oracle_in_oracles_order():
+    gf, N = fib_gf(), 10
+    assert ORACLES == ("geometric", "multinomial", "convolution", "residual")
+    assert verify(gf, N) == [Verdict(name, N) for name in ORACLES]
+    # the multinomial oracle checks to its own order, N at most
+    assert [v.order for v in verify(gf, N, multinomial_order=4)] == [N, 4, N, N]
+    assert verify(gf, 3, multinomial_order=12) == [Verdict(name, 3) for name in ORACLES]
+    for name in ORACLES:
+        assert verify(gf, N, (name,)) == [Verdict(name, N)]
+
+
+def test_verify_refuses_its_arguments_before_any_expansion(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("expanded")
+
+    monkeypatch.setattr(recurrence, "expand_family", refuse)
+    with pytest.raises(BadParameter, match="unknown oracle 'psychic'"):
+        verify(fib_gf(), 4, ("geometric", "psychic"))
+    with pytest.raises(NegativeOrder):
+        verify(fib_gf(), -1)
+    with pytest.raises(NegativeOrder):
+        verify(fib_gf(), 4, multinomial_order=-1)
+
+
+def test_verify_fails_every_oracle_on_an_engine_whose_b_power_is_right_but_p_is_not(
+    monkeypatch
+):
+    # B^-h is right and only P_3 is one off: each oracle's series is B^-h,
+    # and the engine is compared with A * B^-h formed by verify, never with
+    # a product the engine formed, so all four verdicts fail at k = 3
+    gf = RationalGF(FIB_NUM, FIB_DEN, 2)
+    real = recurrence.expand_family
+    monkeypatch.setattr(recurrence, "expand_family",
+                        lambda gf, N: corrupt(real(gf, N), 3, one))
+    P_3 = parse_poly("3*x^2 + 2")
+    assert verify(gf, 10) == [
+        Verdict("geometric", 10, 3, P_3 + one, P_3),
+        Verdict("multinomial", 10, 3, P_3 + one, P_3),
+        Verdict("convolution", 10, 3, P_3 + one, P_3),
+        Verdict("residual", 10, 3, -one, zero),
+    ]
 
 
 def test_a_series_whose_first_order_is_not_one_inverts_nothing():
