@@ -31,7 +31,7 @@ from .errors import (
     UnknownFamily,
 )
 from .families import audit, instantiate, list_families
-from .parser import format_poly, join_in_t, parse_poly, split_in_t
+from .parser import format_poly, parse_poly, split_in_t
 from .poly import Polynomial
 from .recurrence import (
     ORACLES,
@@ -94,7 +94,6 @@ __all__ = [
     "instantiate",
     "iter_family",
     "iter_values",
-    "join_in_t",
     "list_families",
     "multinomial_inverse",
     "parse_poly",

@@ -84,11 +84,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(run=_cmd_verify)
     add_gf_flags(p_verify)
     p_verify.add_argument("-N", type=int, required=True, help="truncation order")
-    p_verify.add_argument(
-        "--oracle", required=True,
-        choices=("geometric", "multinomial", "convolution", "residual", "all"),
-        help="which identity to check",
-    )
+    p_verify.add_argument("--oracle", required=True, choices=(*ORACLES, "all"),
+                          help="which identity to check")
     p_verify.add_argument(
         "--force", action="store_true",
         help="allow the multinomial oracle beyond N=12",

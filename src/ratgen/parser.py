@@ -180,11 +180,6 @@ def split_in_t(p: Polynomial) -> tuple[Polynomial, ...]:
     return p.split(RESERVED_VARIABLE)
 
 
-def join_in_t(seq: Sequence[Polynomial]) -> Polynomial:
-    """Recombine t-coefficient polynomials as sum A_j * t^j."""
-    return Polynomial.join(RESERVED_VARIABLE, seq)
-
-
 def _power_text(name: str, e: int) -> str:
     """The text "*x^e" of one variable's power; "*x" for e = 1, "" for e = 0."""
     if e > 1:

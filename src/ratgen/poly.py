@@ -27,8 +27,8 @@ format per variable set, so the cost per term stays in C however many names
 the table holds.  Every ordered read (formatting, evaluation, ``items``) goes
 through :meth:`Polynomial.graded_columns`, one sort of one flat row per term,
 (degree, exponents.., coefficient), transposed once into one exponent column
-per variable.  Every merge of term maps (sums, products, :meth:`Polynomial.join`)
-goes through :func:`add_product_into`.
+per variable.  Every merge of term maps (products, ``+``, ``-`` and the
+parser's sums) goes through :func:`add_product_into`.
 
 The module holds the one power loop, :func:`_miller_power`: J.C.P. Miller's
 recurrence over the nonzero graded parts of a base whose lowest part is one
@@ -300,18 +300,6 @@ class Polynomial:
         _set_vars(self, variables)
         return self
 
-    @classmethod
-    def join(cls, name: str, seq: Sequence[Polynomial]) -> Polynomial:
-        """sum_j seq[j] * name^j; the inverse of :meth:`split`."""
-        unit = _unit(name)
-        check_degree(max(
-            (p.total_degree() + j for j, p in enumerate(seq) if p), default=0
-        ))
-        out: RawTerms = {}
-        for j, p in enumerate(seq):
-            add_product_into(out, p, cls._raw({j * unit: 1}))
-        return cls.from_raw(out)
-
     # -- queries -----------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -351,11 +339,6 @@ class Polynomial:
             return name in cached
         shift = _SHIFTS.get(name)
         return shift is not None and bool(reduce(or_, self._terms, 0) >> shift & _MASK)
-
-    def coefficient(self, mono: Monomial) -> int:
-        if any(name not in _SHIFTS for name, e in mono if e):
-            return 0
-        return self._terms.get(_pack(mono), 0)
 
     def items(self) -> Iterator[tuple[Monomial, int]]:
         """(monomial, coefficient) pairs in descending graded-lex order,
@@ -596,18 +579,14 @@ def _miller_power(
     by k*c, and by m once for all, as each part's packed keys less m's.
     An order no nonzero order reaches is never formed, so the work is
     bounded by the parts times the nonzero orders, however far apart the
-    weights lie.  With one part p_j beside p_0, D_{k-j} * ((e+1)*j - k)
-    / (k*c) is binom(e, i) * c^(e-i) * m^(e-i+1) * p_j^(i-1) for i = k/j,
-    already integral, so that smaller side is divided instead of the sum.
-    D_0 = (c*m)^e, so a negative e needs p_0 = 1.  The caller checks the
-    degree bound.
+    weights lie.  D_0 = (c*m)^e, so a negative e needs p_0 = 1.  The caller
+    checks the degree bound.
     """
     [(m, c)] = parts[0]._terms.items()  # ValueError unless p_0 is one term
     if e < 0 and (m, c) != (0, 1):
         raise ValueError("a negative power needs p_0 = 1")
     steps = [(j, Polynomial._raw({x - m: v for x, v in p._terms.items()}))
              for j, p in parts.items() if j]
-    single = len(steps) == 1
     sums: dict[int, RawTerms] = {}  # the orders some nonzero order reaches
     heap: list[int] = []  # the keys of sums
     k, d = 0, parts[0] if e < 0 else Polynomial._raw({m * e: c**e})
@@ -618,15 +597,10 @@ def _miller_power(
                 if (i := k + j) <= top:
                     if i not in sums:
                         heappush(heap, i)
-                    f = e * j - k  # (e+1)*j - i
-                    if single:  # d*f/(i*c) is integral: divide this side, not the sum
-                        add_product_into(sums.setdefault(i, {}), q, Polynomial._raw(
-                            {x: v * f // (i * c) for x, v in d._terms.items()}))
-                    else:
-                        add_product_into(sums.setdefault(i, {}), q.scale(f), d)
+                    # q's factor (e+1)*j - i
+                    add_product_into(sums.setdefault(i, {}), q.scale(e * j - k), d)
         if not heap:
             return
         k = heappop(heap)
         acc, kc = sums.pop(k), k * c
-        d = (Polynomial.from_raw(acc) if single
-             else Polynomial._raw({x: v // kc for x, v in acc.items() if v}))
+        d = Polynomial._raw({x: v // kc for x, v in acc.items() if v})

@@ -33,7 +33,7 @@ from itertools import chain, repeat
 from operator import mul
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
-from .errors import BadParameter, EmptySeries, PowerNotOne
+from .errors import BadParameter, EmptySeries, OrderMismatch, PowerNotOne
 from .poly import Polynomial, RawTerms, _miller_power, add_product_into, require_values
 from .series import (
     SeriesPrefix,
@@ -122,13 +122,9 @@ class Recurrence:
     def order(self) -> int:
         return len(self.feedback)
 
-    @property
-    def forcing_cutoff(self) -> int:
-        return len(self.forcing) - 1
-
     def homogeneous_from(self) -> int:
         """Smallest k from which P_k = sum_j feedback_j P_{k-j} holds."""
-        return max(self.forcing_cutoff + 1, self.order)
+        return max(len(self.forcing), self.order)
 
     def iter_terms(self, N: int) -> Iterator[Polynomial]:
         """Yield P_0..P_N, holding only the last ``order`` of them.
@@ -309,7 +305,8 @@ def identity_residual(
 
     P and Q are the expansion of gf and the inverse sequence of its
     denominator to order N, the series the identity checks; each one not
-    given is computed here.  The double sum
+    given is computed here, and one given with fewer than N + 1 orders
+    raises OrderMismatch before any product.  The double sum
     sum_{j>=1} sum_l B_j A_l Q_{k-j-l} is order k of A * E with
     E = (B - 1) * Q (:func:`tail_product`), so order k of the identity's
     left side is R_k = [k <= m] A_k - (A * E)_k, and its entry is 0 where
@@ -322,6 +319,9 @@ def identity_residual(
             "identity requires power 1; reduce the denominator first"
         )
     N = check_order(N)
+    for name, S in (("P", P), ("Q", Q)):
+        if S is not None and S.order < N:
+            raise OrderMismatch(f"{name} has order {S.order}, below N = {N}")
     A, B = gf.numerator, gf.denominator
     P = expand_family(gf, N) if P is None else P
     Q = expand_inverse(B, N) if Q is None else Q
@@ -382,9 +382,12 @@ def verify(gf: RationalGF, N: int, oracles: Sequence[str] = ORACLES,
     to order N becomes that object, so each later comparison is by
     identity.  Y is read as 1/D only if :func:`inverts` says so; then the
     residual is A * Y - P, and otherwise 1/D is expanded and the residual
-    is :func:`identity_residual`'s.  An unknown oracle name raises
-    BadParameter, and a negative order NegativeOrder, before any expansion.
+    is :func:`identity_residual`'s.  A bare str for ``oracles`` or an
+    unknown oracle name raises BadParameter, and a negative order
+    NegativeOrder, before any expansion.
     """
+    if isinstance(oracles, str):
+        raise BadParameter(f"oracles is a sequence of names, not the str {oracles!r}")
     selected = set(oracles)
     if unknown := selected.difference(ORACLES):
         raise BadParameter(f"unknown oracle {min(unknown)!r}; expected one of {ORACLES}")
@@ -461,12 +464,9 @@ def render_recurrence(gf: RationalGF) -> str:
             pieces.append((sign, ref if body == "1" else f"{body}*{ref}"))
         else:
             pieces.append(("+", f"({text})*{ref}"))
-    if not pieces:
-        rhs = "0"
-    else:
-        first_sign, first_body = pieces[0]
-        rhs = ("-" if first_sign == "-" else "") + first_body
-        rhs += "".join(f" {sign} {body}" for sign, body in pieces[1:])
+    # the first piece's separator becomes a leading minus sign or nothing
+    rhs = "".join(f" {sign} {body}" for sign, body in pieces)
+    rhs = ("-" if rhs[1] == "-" else "") + rhs[3:] if pieces else "0"
     initial = "".join(
         f"; P_{k} = {format_poly(p)}" for k, p in enumerate(iter_family(gf, start - 1))
     )

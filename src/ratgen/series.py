@@ -164,11 +164,6 @@ class SeriesPrefix:
         return SeriesPrefix._unchecked(self.coeffs[: order + 1])
 
     @classmethod
-    def identity(cls, order: int) -> SeriesPrefix:
-        """The series 1 truncated at the given order."""
-        return cls.from_polynomials((Polynomial.one(),), order)
-
-    @classmethod
     def from_polynomials(cls, seq: Sequence[Polynomial], order: int) -> SeriesPrefix:
         """A polynomial's t-coefficient list, zero-padded or cut to an order."""
         order = check_order(order)

@@ -7,7 +7,7 @@ frozen expected values and randomized sweeps are reproducible run to run.
 from __future__ import annotations
 
 import random
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from hypothesis import strategies as st
 
@@ -15,6 +15,13 @@ from ratgen.poly import Monomial, Polynomial
 from ratgen.recurrence import RationalGF
 
 COEFF_VARS = ("x", "y", "z")
+T = Polynomial.symbol("t")
+
+
+def sum_in_t(seq: Iterable[Polynomial]) -> Polynomial:
+    """sum_j seq[j] * t^j, built with the ring's + and *: the inverse of
+    split_in_t, for the tests to check it and the series arithmetic against."""
+    return sum((p * T**j for j, p in enumerate(seq)), Polynomial.zero())
 
 
 def random_poly(

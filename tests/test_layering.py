@@ -9,6 +9,7 @@ import inspect
 import textwrap
 from pathlib import Path
 
+import ratgen
 from ratgen import series
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "ratgen"
@@ -152,3 +153,49 @@ def test_only_main_writes_stdout():
         if writes_stdout(node)
     }
     assert writers == {"main"}
+
+
+def imported_names(tree: ast.Module) -> dict[str, int]:
+    """Each name an import binds in the module, with the line of its import;
+    ``from __future__`` imports bind none."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update({(alias.asname or alias.name.partition(".")[0]): node.lineno
+                          for alias in node.names})
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update({(alias.asname or alias.name): node.lineno for alias in node.names})
+    return bound
+
+
+def exported_names(tree: ast.Module) -> list[str]:
+    """The names listed in the module's ``__all__``; none if it has no ``__all__``."""
+    return [
+        element.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(target, ast.Name) and target.id == "__all__"
+                for target in node.targets)
+        for element in node.value.elts
+    ]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # a deletion leaves no dead import behind; a name listed in __all__ is
+    # used, since the package re-exports it
+    unused = {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        used.update(exported_names(tree))
+        unused.update({f"{path.name}:{line}": name
+                       for name, line in imported_names(tree).items() if name not in used})
+    assert unused == {}
+
+
+def test_the_package_exports_exactly_what_it_imports():
+    # ratgen.__all__ and the imports of ratgen/__init__.py are two lists of
+    # the same names, so neither can gain or lose one alone
+    exported = ratgen.__all__
+    assert len(exported) == len(set(exported))
+    assert set(exported) == imported_names(ast.parse((SRC / "__init__.py").read_text())).keys()

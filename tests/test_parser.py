@@ -14,10 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_poly, reference_format
+from helpers import random_poly, reference_format, sum_in_t
 from ratgen.errors import ExponentTooLarge, NegativeExponent, ParseError, TooManyDigits
 from ratgen import parser
-from ratgen.parser import MAX_NESTING, format_poly, join_in_t, parse_poly, split_in_t
+from ratgen.parser import MAX_NESTING, format_poly, parse_poly, split_in_t
 from ratgen.poly import MAX_DEGREE, Polynomial
 
 x = Polynomial.variable("x")
@@ -349,7 +349,7 @@ def test_split_join_inverse():
             rng, variables=("x", "y", "t"), max_terms=4, max_degree=4
         )
         parts = split_in_t(p)
-        assert join_in_t(parts) == p
+        assert sum_in_t(parts) == p
         assert all(not q.mentions("t") for q in parts)
 
 
@@ -359,4 +359,4 @@ def test_join_split_inverse_on_coefficient_lists():
         parts = [random_poly(rng) for _ in range(rng.randint(1, 4))]
         while len(parts) > 1 and parts[-1].is_zero():
             parts.pop()
-        assert split_in_t(join_in_t(parts)) == tuple(parts)
+        assert split_in_t(sum_in_t(parts)) == tuple(parts)

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from helpers import COEFF_VARS, random_gf, random_poly, reference_product
+from helpers import COEFF_VARS, random_gf, random_poly, reference_product, sum_in_t
 from ratgen import ORACLES, Verdict, families, poly, recurrence, series, verify
 from ratgen.errors import (
     BadConstantTerm,
@@ -19,10 +19,11 @@ from ratgen.errors import (
     NonIntegerValue,
     NotAPolynomial,
     NotAnExpression,
+    OrderMismatch,
     PowerNotOne,
     RatGenError,
 )
-from ratgen.parser import join_in_t, parse_poly, split_in_t
+from ratgen.parser import parse_poly, split_in_t
 from ratgen.poly import Polynomial
 from ratgen.recurrence import (
     RationalGF,
@@ -123,7 +124,7 @@ def test_raise_denominator_matches_polynomial_power():
         n = rng.randint(0, 4)
         h = rng.randint(1, 8)
         B = [one] + [random_poly(rng) for _ in range(n)]
-        expected = split_in_t(join_in_t(B) ** h)
+        expected = split_in_t(sum_in_t(B) ** h)
         assert raise_denominator(B, h) == expected
         for N in range(h * n + 2):
             assert raise_denominator(B, h, N) == expected[: N + 1]
@@ -173,7 +174,7 @@ def test_negative_power_inverts_the_positive_one():
         inverse = expand_family(RationalGF((one,), B, h), N)
         assert len(inverse) == N + 1
         power = SeriesPrefix.from_polynomials(raise_denominator(B, h, N), N)
-        assert cauchy_mul(inverse, power) == SeriesPrefix.identity(N)
+        assert cauchy_mul(inverse, power) == SeriesPrefix.from_polynomials((one,), N)
     inverse_square = expand_family(RationalGF((one,), (one, -one), 2), 4)
     assert inverse_square.coeffs == tuple(map(c, (1, 2, 3, 4, 5)))
 
@@ -209,7 +210,7 @@ def test_expand_catalan_start():
 
 def test_expand_constant_function():
     gf = RationalGF((one,), (one,))
-    assert expand_family(gf, 4) == SeriesPrefix.identity(4)
+    assert expand_family(gf, 4) == SeriesPrefix.from_polynomials((one,), 4)
 
 
 def test_expand_rejects_negative_order():
@@ -271,7 +272,7 @@ def test_negative_order_is_raised_once_by_the_callee():
     lambda: geometric_inverse(FIB_DEN, 1.5),
     lambda: multinomial_inverse(FIB_DEN, 1.5),
     lambda: SeriesPrefix.from_polynomials(FIB_DEN, 1.5),
-    lambda: SeriesPrefix.identity(3).truncate(0.5),
+    lambda: SeriesPrefix.from_polynomials((one,), 3).truncate(0.5),
 ], ids=["iter_family", "expand_family", "iter_values", "geometric_inverse",
         "multinomial_inverse", "from_polynomials", "truncate"])
 def test_a_non_integer_order_raises_a_typed_error(call):
@@ -721,6 +722,15 @@ def test_verify_refuses_its_arguments_before_any_expansion(monkeypatch):
         verify(fib_gf(), 4, multinomial_order=-1)
 
 
+def test_verify_refuses_a_bare_str_of_oracle_names():
+    # a str is a sequence of one-letter names, so "geometric" read as one
+    # would name the unknown oracle 'c'
+    with pytest.raises(BadParameter, match="^oracles is a sequence of names, not the str "
+                                           "'geometric'$"):
+        verify(fib_gf(), 8, "geometric")
+    assert verify(fib_gf(), 8, ("geometric",)) == [Verdict("geometric", 8)]
+
+
 def test_verify_fails_every_oracle_on_an_engine_whose_b_power_is_right_but_p_is_not(
     monkeypatch
 ):
@@ -754,13 +764,28 @@ def test_a_series_whose_first_order_is_not_one_inverts_nothing():
     assert list(identity_residual(gf, N, P, twice)) == expected
 
 
-def test_identity_residual_reads_a_short_q_as_zero_past_its_order():
-    # Q to order 3 of 6 is read with zeros after it, so it inverts nothing
+def test_identity_residual_refuses_a_short_p_or_q_before_any_product(monkeypatch):
+    # a Q to order 3 of 6 inverts nothing; read with zeros past its order it
+    # would give a right P a nonzero residual at k = 6, and a short P would
+    # end in zip's bare ValueError, so either is an OrderMismatch at entry
     gf, N = fib_gf(), 6
-    P, Q = expand_family(gf, N), expand_inverse(gf.denominator, 3)
-    padded = SeriesPrefix.from_polynomials(Q.coeffs, N)
-    assert not inverts(gf.denominator, Q, N)
-    assert list(identity_residual(gf, N, P, Q)) == reference_residual(gf, N, P, padded)
+    P, Q = expand_family(gf, N), expand_inverse(gf.denominator, N)
+    short_P, short_Q = P.truncate(3), Q.truncate(3)
+    assert not inverts(gf.denominator, short_Q, N)
+
+    def refuse(*args):
+        raise AssertionError("formed a product")
+
+    for name in ("expand_family", "expand_inverse", "convolve"):
+        monkeypatch.setattr(recurrence, name, refuse)
+    for given, name in (((short_P, Q), "P"), ((P, short_Q), "Q"), ((short_P, None), "P"),
+                        ((None, short_Q), "Q"), ((short_P, short_Q), "P")):
+        with pytest.raises(OrderMismatch, match=f"^{name} has order 3, below N = 6$"):
+            identity_residual(gf, N, *given)
+    monkeypatch.undo()
+    # a longer P or Q is read to order N, as if cut there
+    zero_to_3 = SeriesPrefix.from_polynomials((), 3)
+    assert identity_residual(gf, 3, corrupt(P, 5, one), Q) == zero_to_3
 
 
 def test_the_series_variable_is_refused_where_coefficients_enter():

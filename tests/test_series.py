@@ -4,10 +4,10 @@ import random
 
 import pytest
 
-from helpers import COEFF_VARS, random_denominator, random_poly
+from helpers import COEFF_VARS, random_denominator, random_poly, sum_in_t
 from ratgen import poly, recurrence, series
 from ratgen.errors import BadConstantTerm, DegreeTooLarge, NegativeOrder, OrderMismatch
-from ratgen.parser import join_in_t, split_in_t
+from ratgen.parser import split_in_t
 from ratgen.poly import MAX_DEGREE, Polynomial
 from ratgen.recurrence import Recurrence, raise_denominator
 from ratgen.series import (
@@ -48,7 +48,7 @@ def test_cauchy_geometric_times_denominator():
 
 def test_cauchy_identity():
     a = SeriesPrefix([one, x, x**2 + one, zero])
-    assert cauchy_mul(a, SeriesPrefix.identity(3)) == a
+    assert cauchy_mul(a, SeriesPrefix.from_polynomials((one,), 3)) == a
 
 
 def test_cauchy_shift_by_t():
@@ -89,7 +89,7 @@ def test_convolve_matches_polynomial_product():
     for len_a, len_b in [(1, 4), (4, 1), (2, 5), (3, 3)] * 5:
         a = [random_poly(rng) for _ in range(len_a)]
         b = [random_poly(rng) for _ in range(len_b)]
-        product = split_in_t(join_in_t(a) * join_in_t(b))
+        product = split_in_t(sum_in_t(a) * sum_in_t(b))
         for N in range(len_a + len_b + 1):  # below and above len_a+len_b-2
             expected = list(product[: N + 1])
             expected += [zero] * (N + 1 - len(expected))
@@ -117,7 +117,7 @@ def test_oracles_use_neither_engine_kernel(monkeypatch):
     for (B, N, h), (geometric, multinomial) in zip(cases, inverses):
         assert multinomial == geometric
         b_series = SeriesPrefix.from_polynomials(raise_denominator(B, h, N), N)
-        assert cauchy_mul(b_series, geometric) == SeriesPrefix.identity(N)
+        assert cauchy_mul(b_series, geometric) == SeriesPrefix.from_polynomials((one,), N)
 
 
 def power_oracle_cases(seed: int, powers, count: int):
@@ -136,8 +136,9 @@ def test_power_oracles_agree_and_invert_b_to_the_h(h):
         geometric = geometric_inverse(B, N, h)
         assert multinomial_inverse(B, N, h) == geometric
         # in the t-bearing ring: B^-h * B^h = 1 mod t^(N+1)
-        product = split_in_t(join_in_t(geometric) * join_in_t(B) ** h)
-        assert SeriesPrefix.from_polynomials(product, N) == SeriesPrefix.identity(N)
+        product = split_in_t(sum_in_t(geometric) * sum_in_t(B) ** h)
+        one_to_n = SeriesPrefix.from_polynomials((one,), N)
+        assert SeriesPrefix.from_polynomials(product, N) == one_to_n
 
 
 def test_power_oracles_read_b_only_to_order_n():
@@ -145,7 +146,7 @@ def test_power_oracles_read_b_only_to_order_n():
     # order of B past N
     B = [one] + [zero] * 1999 + [-one]
     for oracle in (geometric_inverse, multinomial_inverse):
-        assert oracle(B, 3, 2) == SeriesPrefix.identity(3)
+        assert oracle(B, 3, 2) == SeriesPrefix.from_polynomials((one,), 3)
     assert multinomial_inverse(B, 2000, 2)[2000] == Polynomial.constant(2)
 
 
@@ -201,7 +202,7 @@ def test_geometric_inverse_of_one_minus_t():
 
 
 def test_geometric_inverse_of_one():
-    assert geometric_inverse([one], 3) == SeriesPrefix.identity(3)
+    assert geometric_inverse([one], 3) == SeriesPrefix.from_polynomials((one,), 3)
 
 
 def test_geometric_inverse_fibonacci_denominator():
@@ -255,7 +256,7 @@ def test_inversion_correctness_randomized():
         N = rng.randint(0, 10)
         inv = geometric_inverse(B, N)
         b_series = SeriesPrefix.from_polynomials(B, N)
-        assert cauchy_mul(b_series, inv) == SeriesPrefix.identity(N)
+        assert cauchy_mul(b_series, inv) == SeriesPrefix.from_polynomials((one,), N)
 
 
 def test_oracle_agreement_randomized():
